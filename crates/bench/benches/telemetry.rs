@@ -9,12 +9,9 @@
 //!   instrumented; this workload pins that it stays that way.
 //!
 //! Each workload is timed with the registry recording and with it
-//! runtime-disabled (`set_enabled(false)` — the same cheap flag the
-//! `telemetry` feature compiles away entirely), interleaved min-of-N.
-//! In full mode the bench **asserts** instrumented/disabled ≤ 1.03 and
-//! writes `BENCH_telemetry.json`; built `--no-default-features` it times
-//! the genuinely dark stack for cross-mode comparison instead (no ratio
-//! to assert — both sides are inert).
+//! runtime-disabled (`set_enabled(false)`, the stack's one off switch),
+//! interleaved min-of-N. In full mode the bench **asserts**
+//! instrumented/disabled ≤ 1.03 and writes `BENCH_telemetry.json`.
 //!
 //! Run `cargo bench -p ashn-bench --bench telemetry` (add `--test` for
 //! the single-iteration CI smoke mode; `--targets N` scales the service
@@ -115,17 +112,12 @@ fn main() {
     let n_targets: usize = args.get("targets", if test_mode { 30 } else { 240 });
     let seed: u64 = args.get("seed", 42);
     let rounds = if test_mode { 1 } else { 7 };
-    let feature_on = cfg!(feature = "telemetry");
 
     // A bounded journal keeps the ring-eviction path in the measured loop.
     let reg = Registry::with_journal_capacity(256);
     let _guard = install(&reg);
 
-    println!(
-        "telemetry overhead bench (feature {}; {} rounds, min-of-N interleaved)\n",
-        if feature_on { "ON" } else { "OFF" },
-        rounds
-    );
+    println!("telemetry overhead bench ({rounds} rounds, min-of-N interleaved)\n");
 
     // Workload 1: warm service batch — every instrumented phase fires.
     let targets = corpus(n_targets, seed);
@@ -180,17 +172,15 @@ fn main() {
         traj_ratio
     );
 
-    // Sanity: in full mode the instrumentation actually ran.
-    if feature_on {
-        let snap = reg.snapshot();
-        assert!(snap.counter("service.batches").unwrap_or(0) > 0);
-        assert!(snap.histogram("sim.plan.build").is_some());
-    }
+    // Sanity: the instrumentation actually ran.
+    let snap = reg.snapshot();
+    assert!(snap.counter("service.batches").unwrap_or(0) > 0);
+    assert!(snap.histogram("sim.plan.build").is_some());
 
     // The acceptance gate: instrumented hot loops stay within noise
     // (≤3%) of the disabled stack. Smoke mode times single iterations,
     // which is pure scheduler noise — report, don't gate.
-    if feature_on && !test_mode {
+    if !test_mode {
         assert!(
             batch_ratio <= 1.03,
             "service batch overhead {batch_ratio:.4} exceeds 1.03"
@@ -203,7 +193,7 @@ fn main() {
 
     let json = format!(
         "{{\n  \"bench\": \"telemetry\",\n  \"config\": {{ \"targets\": {}, \"seed\": {seed}, \
-         \"feature\": {feature_on}, \"rounds\": {rounds}, \"smoke\": {test_mode} }},\n  \
+         \"rounds\": {rounds}, \"smoke\": {test_mode} }},\n  \
          \"results\": [\n    {{ \"workload\": \"service_batch_warm\", \"instrumented_us\": {:.2}, \
          \"disabled_us\": {:.2}, \"ratio\": {:.4} }},\n    {{ \"workload\": \"trajectory_loop\", \
          \"instrumented_us\": {:.2}, \"disabled_us\": {:.2}, \"ratio\": {:.4} }}\n  ],\n  \
@@ -217,8 +207,8 @@ fn main() {
         traj_ratio,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    if test_mode || !feature_on {
-        println!("\nsmoke/feature-off mode: leaving {path} untouched");
+    if test_mode {
+        println!("\nsmoke mode: leaving {path} untouched");
     } else {
         match std::fs::write(path, &json) {
             Ok(()) => println!("\nbaseline written to {path}"),

@@ -10,7 +10,8 @@
 
 use std::f64::consts::{FRAC_PI_2, FRAC_PI_4};
 
-/// Default tolerance for chamber-membership and equality checks.
+/// Default tolerance for chamber-membership and equality checks, and the
+/// width of the `x = π/4` face band on which `z ≥ 0` is enforced.
 pub const WEYL_TOL: f64 = 1e-9;
 
 /// A point `(x, y, z)` of interaction coefficients.
@@ -57,13 +58,17 @@ impl WeylPoint {
     }
 
     /// `true` when the point lies in the canonical chamber `W` (within `tol`).
+    ///
+    /// The `x = π/4` face is the band `x ≥ π/4 − WEYL_TOL` whatever `tol`
+    /// is: the same band in which [`WeylPoint::canonicalize`] flips `z`, so
+    /// the two agree on which face points are canonical.
     pub fn in_chamber(self, tol: f64) -> bool {
         let (x, y, z) = (self.x, self.y, self.z);
         if !(x <= FRAC_PI_4 + tol && x >= y - tol && y >= z.abs() - tol && y >= -tol) {
             return false;
         }
         // On the x = π/4 face, z must be non-negative.
-        if (x - FRAC_PI_4).abs() <= tol && z < -tol {
+        if x >= FRAC_PI_4 - WEYL_TOL && z < -tol {
             return false;
         }
         true
@@ -228,6 +233,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn near_face_point_passes_the_optimal_time_check() {
+        // Just off the x = π/4 face band, so canonicalize keeps z < 0; the
+        // looser chamber check in `optimal_time_branches` must accept it.
+        let p = WeylPoint::new(FRAC_PI_4 - 5e-9, FRAC_PI_4 - 5e-9, -0.736311);
+        assert_eq!(p.canonicalize(), p);
+        assert!(p.in_chamber(1e-7));
+        let (t1, t2) = crate::cost::optimal_time_branches(0.0, p);
+        assert!(t1.is_finite() && t2.is_finite());
     }
 
     #[test]

@@ -116,8 +116,7 @@ fn assert_equivalent(logical: &Circuit, physical: &Circuit, positions: &[usize])
 /// Satellite: the router's first telemetry counters. A 1×6 strip forces
 /// SWAP chains (routed-SWAP count), while already-adjacent pairs are
 /// window hits; both must land in the installed registry alongside the
-/// per-layer routing-time histogram. With the `telemetry` feature off the
-/// snapshot stays empty — the router itself is unaffected either way.
+/// per-layer routing-time histogram.
 #[test]
 fn routing_records_swap_and_window_counters() {
     let reg = ashn_telemetry::Registry::with_journal_capacity(0);
@@ -132,23 +131,18 @@ fn routing_records_swap_and_window_counters() {
     router.route_layer(&[(0, 5)]);
 
     let snap = reg.snapshot();
-    if cfg!(feature = "telemetry") {
-        assert_eq!(snap.counter("route.layers"), Some(2));
-        assert_eq!(snap.counter("route.pairs"), Some(3));
-        assert!(
-            snap.counter("route.swaps").unwrap_or(0) > 0,
-            "strip endpoints must cost routed SWAPs"
-        );
-        assert!(
-            snap.counter("route.window_hits").unwrap_or(0) >= 1,
-            "the adjacent pair must count as a lookahead window hit"
-        );
-        let h = snap.histogram("route.layer").expect("per-layer timer");
-        assert_eq!(h.count, 2, "one timing sample per routed layer");
-    } else {
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
-    }
+    assert_eq!(snap.counter("route.layers"), Some(2));
+    assert_eq!(snap.counter("route.pairs"), Some(3));
+    assert!(
+        snap.counter("route.swaps").unwrap_or(0) > 0,
+        "strip endpoints must cost routed SWAPs"
+    );
+    assert!(
+        snap.counter("route.window_hits").unwrap_or(0) >= 1,
+        "the adjacent pair must count as a lookahead window hit"
+    );
+    let h = snap.histogram("route.layer").expect("per-layer timer");
+    assert_eq!(h.count, 2, "one timing sample per routed layer");
 }
 
 proptest! {

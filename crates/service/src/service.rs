@@ -1068,23 +1068,6 @@ impl<B: Basis + Sync> CompileService<B> {
         BatchCompileResult { results, stats }
     }
 
-    /// Point-in-time snapshot of the telemetry registry this service
-    /// records into — the thread's current registry
-    /// ([`ashn_telemetry::current`]: the innermost installed one, else the
-    /// process-wide global). Covers every layer the service drives: batch
-    /// phase timings, cache lookup tiers, EA waves, retry/degradation
-    /// events, routing counters.
-    pub fn telemetry_snapshot(&self) -> ashn_telemetry::TelemetrySnapshot {
-        ashn_telemetry::current().snapshot()
-    }
-
-    /// [`Self::telemetry_snapshot`] rendered as the human-readable text
-    /// report (see `TelemetrySnapshot::render_json` /
-    /// `render_prometheus` for the machine-readable forms).
-    pub fn telemetry_report(&self) -> String {
-        self.telemetry_snapshot().render_text()
-    }
-
     /// Routes, optimizes, and schedules one request against the sealed
     /// class table. Pure in its inputs — safe to fan over workers.
     fn compile_one(

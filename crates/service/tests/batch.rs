@@ -3,15 +3,17 @@
 
 mod common;
 
+use ashn_gates::single::h;
 use ashn_ir::{Circuit, Instruction};
 use ashn_math::randmat::haar_unitary;
-use ashn_math::CMat;
+use ashn_math::{c, CMat};
 use ashn_service::{CompileRequest, CompileService, OptLevel, ServiceError, ShardedCache};
 use ashn_sim::Simulate;
 use ashn_synth::basis::AshnBasis;
 use common::{dressed, fingerprint, ExactBasis};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::f64::consts::PI;
 use std::time::{Duration, Instant};
 
 fn target_pool(bases: usize, per_base: usize, seed: u64) -> Vec<CMat> {
@@ -213,6 +215,32 @@ fn compile_batch_is_bit_identical_across_worker_counts() {
     }
     assert_eq!(runs[0], runs[1]);
     assert_eq!(runs[0], runs[2]);
+}
+
+/// The textbook 9-qubit QFT (H + controlled phases, all-to-all) at
+/// `OptLevel::Standard` through the AshN service. Routing merges SWAPs into
+/// controlled phases, and resynthesis then meets Weyl points a few
+/// nanoradians off the `x = π/4` face; every request must still compile
+/// on the requested basis.
+#[test]
+fn ashn_standard_compiles_a_nine_qubit_qft() {
+    let n = 9;
+    let one = c(1.0, 0.0);
+    let mut qft = Circuit::new(n);
+    for j in 0..n {
+        qft.push(Instruction::new(vec![j], h(), "H"));
+        for k in j + 1..n {
+            let theta = PI / (1u64 << (k - j)) as f64;
+            let cphase = CMat::diag(&[one, one, one, c(theta.cos(), theta.sin())]);
+            qft.push(Instruction::new(vec![k, j], cphase, "CP"));
+        }
+    }
+    let service = CompileService::with_cache(AshnBasis::with_cutoff(0.0, 1.1), ShardedCache::new());
+    let batch = service.compile_batch(&[CompileRequest::new(qft).opt(OptLevel::Standard)]);
+    for result in &batch.results {
+        let result = result.as_ref().expect("AshN Standard must compile the QFT");
+        assert!(!result.degraded, "no gate may fall back to the CNOT tier");
+    }
 }
 
 #[test]

@@ -15,7 +15,6 @@ use ashn_math::randmat::haar_unitary;
 use ashn_math::CMat;
 use ashn_service::{CompileService, ShardedCache};
 use ashn_synth::basis::CzBasis;
-#[cfg(feature = "telemetry")]
 use ashn_synth::cache::CacheStats;
 use ashn_telemetry::{install, Registry};
 use common::{dressed, ExactBasis};
@@ -110,34 +109,30 @@ fn mixed_traffic_accounting_never_drifts() {
     );
 
     // Registry-level identity, and struct == registry: one accounting path.
-    let snap = service.telemetry_snapshot();
-    if cfg!(feature = "telemetry") {
-        let c = |name: &str| snap.counter(name).unwrap_or(0);
-        assert_eq!(
-            c("cache.lookup.exact")
-                + c("cache.lookup.class")
-                + c("cache.lookup.rule")
-                + c("cache.lookup.miss"),
-            c("cache.lookups"),
-            "registry lookup tiers must sum to the lookup total"
-        );
-        assert_eq!(c("cache.lookups"), cache.lookups());
-        assert_eq!(c("cache.lookup.exact"), cache.exact_hits);
-        assert_eq!(c("cache.lookup.class"), cache.class_hits);
-        assert_eq!(c("cache.lookup.rule"), cache.rule_hits);
-        assert_eq!(c("cache.lookup.miss"), cache.misses);
+    let snap = reg.snapshot();
+    let c = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(
+        c("cache.lookup.exact")
+            + c("cache.lookup.class")
+            + c("cache.lookup.rule")
+            + c("cache.lookup.miss"),
+        c("cache.lookups"),
+        "registry lookup tiers must sum to the lookup total"
+    );
+    assert_eq!(c("cache.lookups"), cache.lookups());
+    assert_eq!(c("cache.lookup.exact"), cache.exact_hits);
+    assert_eq!(c("cache.lookup.class"), cache.class_hits);
+    assert_eq!(c("cache.lookup.rule"), cache.rule_hits);
+    assert_eq!(c("cache.lookup.miss"), cache.misses);
 
-        // Serve-tier mirrors reconcile with the summed per-batch stats.
-        let sum = |f: fn(&ashn_service::ServiceStats) -> u64| totals.iter().map(f).sum::<u64>();
-        assert_eq!(c("service.serve.exact"), sum(|s| s.exact_hits));
-        assert_eq!(c("service.serve.redressed"), sum(|s| s.class_hits));
-        assert_eq!(c("service.serve.rule"), sum(|s| s.rule_hits));
-        assert_eq!(c("service.serve.cold"), sum(|s| s.cold_serves));
-        assert_eq!(c("service.serve.degraded"), sum(|s| s.degraded));
-        assert_eq!(c("service.serve.failed"), sum(|s| s.failed));
-    } else {
-        assert!(snap.counters.is_empty(), "feature off: no counters");
-    }
+    // Serve-tier mirrors reconcile with the summed per-batch stats.
+    let sum = |f: fn(&ashn_service::ServiceStats) -> u64| totals.iter().map(f).sum::<u64>();
+    assert_eq!(c("service.serve.exact"), sum(|s| s.exact_hits));
+    assert_eq!(c("service.serve.redressed"), sum(|s| s.class_hits));
+    assert_eq!(c("service.serve.rule"), sum(|s| s.rule_hits));
+    assert_eq!(c("service.serve.cold"), sum(|s| s.cold_serves));
+    assert_eq!(c("service.serve.degraded"), sum(|s| s.degraded));
+    assert_eq!(c("service.serve.failed"), sum(|s| s.failed));
 }
 
 /// Satellite: the journal is a replayable flight recorder. Zero-fault
@@ -162,7 +157,6 @@ fn zero_fault_journal_is_identical_across_worker_counts() {
                 .collect(),
         );
     }
-    #[cfg(feature = "telemetry")]
     assert!(
         !journals[0].is_empty(),
         "a batch must leave a journal trail"
@@ -175,7 +169,6 @@ fn zero_fault_journal_is_identical_across_worker_counts() {
 /// the same registry — JSON and Prometheus renderings carry exactly the
 /// values the structs report, and `CacheStats::from_telemetry` round-trips
 /// the lookup traffic.
-#[cfg(feature = "telemetry")]
 #[test]
 fn exporters_round_trip_the_legacy_stats() {
     let reg = Registry::with_journal_capacity(64);
@@ -184,7 +177,7 @@ fn exporters_round_trip_the_legacy_stats() {
     let batch = service.synthesize_batch(&mixed_pool(0xe4b0));
     let stats = batch.stats;
     let cache = service.cache().stats();
-    let snap = service.telemetry_snapshot();
+    let snap = reg.snapshot();
 
     // The registry view of lookup traffic IS the cache's own accounting.
     let view = CacheStats::from_telemetry(&snap);
@@ -227,21 +220,7 @@ fn exporters_round_trip_the_legacy_stats() {
     assert!(prom.contains("ashn_service_batch_bucket{le=\"+Inf\"} 1"));
 
     // And the human-readable report surfaces the same snapshot.
-    let report = service.telemetry_report();
+    let report = snap.render_text();
     assert!(report.contains("cache.lookups"));
     assert!(report.contains("service.batch"));
-}
-
-/// Feature off: the service's telemetry surface stays callable and inert.
-#[cfg(not(feature = "telemetry"))]
-#[test]
-fn feature_off_service_telemetry_is_inert() {
-    let service = CompileService::with_cache(CzBasis, ShardedCache::new());
-    let batch = service.synthesize_batch(&[cnot(), iswap()]);
-    assert_eq!(batch.stats.rule_hits, 2, "accounting structs still work");
-    let snap = service.telemetry_snapshot();
-    assert!(snap.counters.is_empty());
-    assert!(snap.histograms.is_empty());
-    assert_eq!(snap.journal_len, 0);
-    assert!(service.telemetry_report().contains("telemetry snapshot"));
 }

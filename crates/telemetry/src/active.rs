@@ -1,4 +1,4 @@
-//! The real registry — compiled when the `telemetry` feature is on.
+//! The registry: counters, histograms, span timers, and the journal.
 //!
 //! Counters and histograms are plain atomics behind `Arc`s: the handle
 //! types ([`Counter`], [`Histogram`]) are cheap to clone and record with
@@ -17,12 +17,12 @@ use crate::snapshot::{
     HISTOGRAM_BUCKETS,
 };
 
-/// Core storage for one histogram: count/sum/min/max plus log2 buckets,
-/// all relaxed atomics (totals are exact; cross-field consistency is only
-/// read at snapshot time, where small skew between `count` and `sum` from
-/// in-flight recordings is acceptable).
+/// Core storage for one histogram: sum/min/max plus log2 buckets, all
+/// relaxed atomics. There is no separate count: a snapshot derives it from
+/// the buckets it loaded, so `count == Σbuckets` holds by construction even
+/// mid-flight (small skew against `sum_ns` from in-flight recordings is
+/// acceptable).
 struct HistCore {
-    count: AtomicU64,
     sum_ns: AtomicU64,
     min_ns: AtomicU64,
     max_ns: AtomicU64,
@@ -32,7 +32,6 @@ struct HistCore {
 impl HistCore {
     fn new() -> Self {
         HistCore {
-            count: AtomicU64::new(0),
             sum_ns: AtomicU64::new(0),
             min_ns: AtomicU64::new(u64::MAX),
             max_ns: AtomicU64::new(0),
@@ -41,7 +40,6 @@ impl HistCore {
     }
 
     fn record_ns(&self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.min_ns.fetch_min(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
@@ -49,7 +47,9 @@ impl HistCore {
     }
 
     fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
+        let buckets: [u64; HISTOGRAM_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let count = buckets.iter().sum();
         let min = self.min_ns.load(Ordering::Relaxed);
         HistogramSnapshot {
             name: name.to_string(),
@@ -61,7 +61,7 @@ impl HistCore {
                 min
             },
             max_ns: self.max_ns.load(Ordering::Relaxed),
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            buckets,
         }
     }
 }

@@ -14,20 +14,20 @@
 //!     ashn_telemetry::current().add("cache.lookup.exact", 1);
 //! }
 //! let snap = reg.snapshot();
-//! # #[cfg(feature = "telemetry")]
 //! assert_eq!(snap.counter("cache.lookup.exact"), Some(1));
 //! println!("{}", snap.render_prometheus());
 //! ```
 //!
 //! Everything routes through [`current()`]: the innermost registry
 //! [`install`]ed on this thread, else the process-wide [`global()`] one.
-//! Worker pools ([`ashn_core::par`], `BatchRunner`) capture the caller's
+//! Worker pools (`ashn_core::par`, `BatchRunner`) capture the caller's
 //! current registry and re-install it on their worker threads, so batch
 //! telemetry lands in one place regardless of the worker count.
 //!
-//! With the `telemetry` cargo feature disabled (default on), the same API
-//! compiles to zero-sized no-ops: spans cost nothing, counters vanish,
-//! snapshots are empty. Call sites never need `cfg` guards.
+//! There is one off switch, at runtime: [`Registry::set_enabled`]`(false)`
+//! makes every counter add, histogram record, and journal event on that
+//! registry a dropped no-op. The journal ring's capacity comes from
+//! [`JOURNAL_ENV`].
 
 pub mod snapshot;
 
@@ -57,12 +57,5 @@ pub const JOURNAL_ENV: &str = "ASHN_TELEMETRY_JOURNAL";
 /// Default journal ring capacity when [`JOURNAL_ENV`] is unset.
 pub const JOURNAL_DEFAULT_CAPACITY: usize = 4096;
 
-#[cfg(feature = "telemetry")]
 mod active;
-#[cfg(feature = "telemetry")]
 pub use active::{current, global, install, Counter, CurrentGuard, Histogram, Registry, Span};
-
-#[cfg(not(feature = "telemetry"))]
-mod inert;
-#[cfg(not(feature = "telemetry"))]
-pub use inert::{current, global, install, Counter, CurrentGuard, Histogram, Registry, Span};

@@ -1,6 +1,4 @@
-//! Snapshot types and exporters — compiled identically with the
-//! `telemetry` feature on or off (an inert registry just produces empty
-//! snapshots).
+//! Snapshot types and exporters.
 //!
 //! Serialization is hand-rolled in the same spirit as
 //! `ashn_service::persist`: no serde, deterministic field order (names

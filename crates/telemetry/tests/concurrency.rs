@@ -2,17 +2,12 @@
 //! histograms, and the journal concurrently lose nothing — totals are
 //! exact, histogram invariants hold (no torn reads), and the journal
 //! ring never exceeds its capacity while accounting for every drop.
-//!
-//! The suite runs with the `telemetry` feature on and off; with it off
-//! every assertion degenerates to the inert zero-snapshot, pinned by the
-//! final test.
 
 use ashn_telemetry::Registry;
 
 const THREADS: usize = 8;
 const PER_THREAD: u64 = 10_000;
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn eight_threads_of_counter_adds_total_exactly() {
     let reg = Registry::with_journal_capacity(0);
@@ -44,7 +39,6 @@ fn eight_threads_of_counter_adds_total_exactly() {
     }
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn eight_threads_of_histogram_samples_preserve_invariants() {
     let reg = Registry::with_journal_capacity(0);
@@ -77,7 +71,6 @@ fn eight_threads_of_histogram_samples_preserve_invariants() {
     );
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn eight_threads_of_journal_events_stay_bounded_and_accounted() {
     let capacity = 64;
@@ -104,7 +97,6 @@ fn eight_threads_of_journal_events_stay_bounded_and_accounted() {
     assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn mixed_hammering_with_concurrent_snapshots_never_tears() {
     let reg = Registry::with_journal_capacity(32);
@@ -141,27 +133,4 @@ fn mixed_hammering_with_concurrent_snapshots_never_tears() {
     let snap = reg.snapshot();
     assert_eq!(snap.counter("mixed.c"), Some(2 * total));
     assert_eq!(snap.histogram("mixed.h").unwrap().count, total);
-}
-
-#[cfg(not(feature = "telemetry"))]
-#[test]
-fn feature_off_registry_is_inert() {
-    let reg = Registry::with_journal_capacity(64);
-    std::thread::scope(|scope| {
-        for _ in 0..THREADS {
-            // The inert registry is `Copy`; `move` captures a copy.
-            scope.spawn(move || {
-                for _ in 0..PER_THREAD {
-                    reg.counter("off.c").add(1);
-                    reg.histogram("off.h").record_ns(1_000);
-                    reg.event("off.e", &[]);
-                }
-            });
-        }
-    });
-    let snap = reg.snapshot();
-    assert!(snap.counters.is_empty());
-    assert!(snap.histograms.is_empty());
-    assert_eq!(snap.journal_len, 0);
-    assert!(reg.journal_snapshot().is_empty());
 }

@@ -69,15 +69,6 @@ pub enum OptLevel {
     Default,
 }
 
-/// Builder for the end-to-end compilation pipeline.
-///
-/// Defaults: the AshN basis with the paper's cutoff `r = 1.1`, the paper's
-/// noise anchored at `e_cz = 0.7%`, a grid sized to the model, and
-/// [`OptLevel::None`] — the optimizer ([`Compiler::opt_level`]) is opt-in,
-/// so out of the box the pipeline reproduces the historical
-/// synthesize → route → schedule → simulate output bit for bit. Select
-/// [`OptLevel::Light`] for the exact structural rewrites or
-/// [`OptLevel::Default`] to add two-qubit block resynthesis.
 /// Which memo store wraps the compiler's basis at `compile` time.
 enum CacheConfig {
     /// A compiler-private bounded LRU ([`SynthCache`]) — the default.
@@ -89,6 +80,15 @@ enum CacheConfig {
     Off,
 }
 
+/// Builder for the end-to-end compilation pipeline.
+///
+/// Defaults: the AshN basis with the paper's cutoff `r = 1.1`, the paper's
+/// noise anchored at `e_cz = 0.7%`, a grid sized to the model, and
+/// [`OptLevel::None`] — the optimizer ([`Compiler::opt_level`]) is opt-in,
+/// so out of the box the pipeline reproduces the historical
+/// synthesize → route → schedule → simulate output bit for bit. Select
+/// [`OptLevel::Light`] for the exact structural rewrites or
+/// [`OptLevel::Default`] to add two-qubit block resynthesis.
 pub struct Compiler {
     /// The plain (uncached) basis; the memo layer is applied per
     /// [`Compiler::compile`] call from [`CacheConfig`], so one compiler can
@@ -196,22 +196,6 @@ impl Compiler {
         }
     }
 
-    /// Point-in-time snapshot of the telemetry registry compilations on
-    /// this thread record into ([`ashn_telemetry::current`]: the innermost
-    /// installed registry, else the process-wide global one): cache lookup
-    /// tiers, synthesis/EA timings, optimizer pass timings, routing
-    /// counters, simulation batch accounting.
-    pub fn telemetry(&self) -> ashn_telemetry::TelemetrySnapshot {
-        ashn_telemetry::current().snapshot()
-    }
-
-    /// [`Compiler::telemetry`] rendered as the human-readable text report
-    /// (use `render_json`/`render_prometheus` on the snapshot for the
-    /// machine-readable forms).
-    pub fn telemetry_report(&self) -> String {
-        self.telemetry().render_text()
-    }
-
     /// Sets the basis from the paper's [`GateSet`] enum (convenience
     /// wrapper over [`Compiler::basis`]).
     #[must_use]
@@ -242,17 +226,7 @@ impl Compiler {
     /// [`AshnError::Opt`] when a pass fails structurally (e.g. the input
     /// contains ≥3-qubit instructions).
     pub fn retarget_circuit(&self, circuit: &Circuit) -> Result<(Circuit, OptStats), AshnError> {
-        match &self.cache {
-            CacheConfig::Local(c) => self.retarget_with(
-                CachedBasis::with_cache(&self.basis, c.clone()).with_rules(standard_rules()),
-                circuit,
-            ),
-            CacheConfig::Shared(s) => self.retarget_with(
-                CachedBasis::with_store(&self.basis, s.clone()).with_rules(standard_rules()),
-                circuit,
-            ),
-            CacheConfig::Off => self.retarget_with(&self.basis, circuit),
-        }
+        self.with_cached_basis(|basis| self.retarget_with(basis, circuit))
     }
 
     fn retarget_with<B: Basis>(
@@ -312,19 +286,22 @@ impl Compiler {
     /// [`AshnError::Config`] when the grid cannot hold the model;
     /// [`AshnError::Synth`]/[`AshnError::Ir`] from synthesis and assembly.
     pub fn compile(&self, model: &ModelCircuit) -> Result<Compiled, AshnError> {
-        // Wrap the plain basis in the configured memo store for this call:
-        // the compiler owns an uncached basis so the same instance can feed
-        // a private cache, a process-wide shared cache, or none.
+        self.with_cached_basis(|basis| self.dispatch(basis, model))
+    }
+
+    /// Wraps the plain basis in the configured memo store, with the
+    /// closed-form rule tier armed, and hands it to `f`. The compiler owns
+    /// an uncached basis so the same instance can feed a private cache, a
+    /// process-wide shared cache, or none.
+    fn with_cached_basis<T>(&self, f: impl FnOnce(&dyn Basis) -> T) -> T {
         match &self.cache {
-            CacheConfig::Local(c) => self.dispatch(
-                CachedBasis::with_cache(&self.basis, c.clone()).with_rules(standard_rules()),
-                model,
-            ),
-            CacheConfig::Shared(s) => self.dispatch(
-                CachedBasis::with_store(&self.basis, s.clone()).with_rules(standard_rules()),
-                model,
-            ),
-            CacheConfig::Off => self.dispatch(&self.basis, model),
+            CacheConfig::Local(c) => {
+                f(&CachedBasis::with_cache(&self.basis, c.clone()).with_rules(standard_rules()))
+            }
+            CacheConfig::Shared(s) => {
+                f(&CachedBasis::with_store(&self.basis, s.clone()).with_rules(standard_rules()))
+            }
+            CacheConfig::Off => f(self.basis.as_ref()),
         }
     }
 
