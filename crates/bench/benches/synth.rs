@@ -109,15 +109,14 @@ fn bench_end_to_end(c: &mut Criterion) {
         b.iter(|| black_box(warm.compile(&model).expect("compiles")))
     });
     group.finish();
-    if let Some(stats) = warm.synth_stats() {
-        println!(
-            "warm compiler cache: {} exact hits, {} class hits, {} misses ({}% hit rate)",
-            stats.exact_hits,
-            stats.class_hits,
-            stats.misses,
-            (stats.hit_rate() * 100.0).round()
-        );
-    }
+    let stats = warm.synth_stats();
+    println!(
+        "warm compiler cache: {} exact hits, {} class hits, {} misses ({}% hit rate)",
+        stats.exact_hits,
+        stats.class_hits,
+        stats.misses,
+        (stats.hit_rate() * 100.0).round()
+    );
 }
 
 criterion_group!(benches, bench_kak, bench_ea, bench_scheme, bench_end_to_end);

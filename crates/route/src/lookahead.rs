@@ -3,13 +3,12 @@
 //! the one-sided greedy [`crate::router::Router`].
 
 use crate::grid::Grid;
-use crate::router::RouteOp;
+use crate::router::{Placement, RouteOp};
 
 /// Both-endpoint router with nearest-pair-first scheduling.
 #[derive(Clone, Debug)]
 pub struct LookaheadRouter {
-    grid: Grid,
-    position: Vec<usize>,
+    placement: Placement,
 }
 
 impl LookaheadRouter {
@@ -19,26 +18,14 @@ impl LookaheadRouter {
     ///
     /// Panics when the grid is too small.
     pub fn new(grid: Grid, n: usize) -> Self {
-        assert!(grid.len() >= n, "grid too small for {n} qubits");
         Self {
-            grid,
-            position: (0..n).collect(),
+            placement: Placement::new(grid, n),
         }
     }
 
     /// Current physical site of a logical qubit.
     pub fn position(&self, logical: usize) -> usize {
-        self.position[logical]
-    }
-
-    fn swap_sites(&mut self, a: usize, b: usize) {
-        for p in self.position.iter_mut() {
-            if *p == a {
-                *p = b;
-            } else if *p == b {
-                *p = a;
-            }
-        }
+        self.placement.position[logical]
     }
 
     /// Routes one layer of disjoint pairs; see [`crate::router::Router::route_layer`].
@@ -49,17 +36,13 @@ impl LookaheadRouter {
     pub fn route_layer(&mut self, pairs: &[(usize, usize)]) -> Vec<RouteOp> {
         let telemetry = ashn_telemetry::current();
         let _span = telemetry.span("route.layer");
-        let mut seen = vec![false; self.position.len()];
-        for &(a, b) in pairs {
-            assert!(a != b && !seen[a] && !seen[b], "overlapping pairs");
-            seen[a] = true;
-            seen[b] = true;
-        }
+        let place = &mut self.placement;
+        place.check_disjoint(pairs);
         // Nearest pairs first: they block fewer sites for the others.
         let mut order: Vec<usize> = (0..pairs.len()).collect();
         order.sort_by_key(|&i| {
             let (a, b) = pairs[i];
-            self.grid.distance(self.position[a], self.position[b])
+            place.grid.distance(place.position[a], place.position[b])
         });
         let mut ops = Vec::new();
         let mut swaps = 0u64;
@@ -68,8 +51,8 @@ impl LookaheadRouter {
             let (la, lb) = pairs[index];
             let mut stepped = false;
             loop {
-                let (pa, pb) = (self.position[la], self.position[lb]);
-                if self.grid.adjacent(pa, pb) {
+                let (pa, pb) = (place.position[la], place.position[lb]);
+                if place.grid.adjacent(pa, pb) {
                     // A pair adjacent the moment it is scheduled — either
                     // placed that way or dragged together by earlier pairs'
                     // SWAPs — is a lookahead window hit.
@@ -85,17 +68,17 @@ impl LookaheadRouter {
                 }
                 stepped = true;
                 // Step each endpoint one site toward the other, alternating.
-                let step_a = self.grid.shortest_path(pa, pb)[1];
+                let step_a = place.grid.shortest_path(pa, pb)[1];
                 ops.push(RouteOp::Swap(pa, step_a));
-                self.swap_sites(pa, step_a);
+                place.swap_sites(pa, step_a);
                 swaps += 1;
-                let (pa, pb) = (self.position[la], self.position[lb]);
-                if self.grid.adjacent(pa, pb) {
+                let (pa, pb) = (place.position[la], place.position[lb]);
+                if place.grid.adjacent(pa, pb) {
                     continue;
                 }
-                let step_b = self.grid.shortest_path(pb, pa)[1];
+                let step_b = place.grid.shortest_path(pb, pa)[1];
                 ops.push(RouteOp::Swap(pb, step_b));
-                self.swap_sites(pb, step_b);
+                place.swap_sites(pb, step_b);
                 swaps += 1;
             }
         }

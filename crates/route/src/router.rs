@@ -23,12 +23,50 @@ pub enum RouteOp {
     },
 }
 
+/// The logical→physical assignment both routers track.
+#[derive(Clone, Debug)]
+pub(crate) struct Placement {
+    pub(crate) grid: Grid,
+    /// `position[l]` = physical site of logical qubit `l`.
+    pub(crate) position: Vec<usize>,
+}
+
+impl Placement {
+    /// The identity placement of `n` logical qubits; panics when the grid
+    /// is too small.
+    pub(crate) fn new(grid: Grid, n: usize) -> Self {
+        assert!(grid.len() >= n, "grid too small for {n} qubits");
+        Self {
+            grid,
+            position: (0..n).collect(),
+        }
+    }
+
+    pub(crate) fn swap_sites(&mut self, a: usize, b: usize) {
+        for p in self.position.iter_mut() {
+            if *p == a {
+                *p = b;
+            } else if *p == b {
+                *p = a;
+            }
+        }
+    }
+
+    /// Panics unless `pairs` are disjoint and each joins two qubits.
+    pub(crate) fn check_disjoint(&self, pairs: &[(usize, usize)]) {
+        let mut seen = vec![false; self.position.len()];
+        for &(a, b) in pairs {
+            assert!(a != b && !seen[a] && !seen[b], "overlapping pairs");
+            seen[a] = true;
+            seen[b] = true;
+        }
+    }
+}
+
 /// Tracks the logical→physical qubit assignment while routing.
 #[derive(Clone, Debug)]
 pub struct Router {
-    grid: Grid,
-    /// `position[l]` = physical site of logical qubit `l`.
-    position: Vec<usize>,
+    placement: Placement,
 }
 
 impl Router {
@@ -38,31 +76,19 @@ impl Router {
     ///
     /// Panics when the grid is too small.
     pub fn new(grid: Grid, n: usize) -> Self {
-        assert!(grid.len() >= n, "grid too small for {n} qubits");
         Self {
-            grid,
-            position: (0..n).collect(),
+            placement: Placement::new(grid, n),
         }
     }
 
     /// Current physical site of a logical qubit.
     pub fn position(&self, logical: usize) -> usize {
-        self.position[logical]
+        self.placement.position[logical]
     }
 
     /// The grid.
     pub fn grid(&self) -> &Grid {
-        &self.grid
-    }
-
-    fn swap_sites(&mut self, a: usize, b: usize) {
-        for p in self.position.iter_mut() {
-            if *p == a {
-                *p = b;
-            } else if *p == b {
-                *p = a;
-            }
-        }
+        &self.placement.grid
     }
 
     /// Routes one layer of disjoint logical pairs: emits SWAPs moving each
@@ -73,17 +99,13 @@ impl Router {
     ///
     /// Panics when pairs share qubits.
     pub fn route_layer(&mut self, pairs: &[(usize, usize)]) -> Vec<RouteOp> {
-        let mut seen = vec![false; self.position.len()];
-        for &(a, b) in pairs {
-            assert!(a != b && !seen[a] && !seen[b], "overlapping pairs");
-            seen[a] = true;
-            seen[b] = true;
-        }
+        let place = &mut self.placement;
+        place.check_disjoint(pairs);
         let mut ops = Vec::new();
         for (index, &(la, lb)) in pairs.iter().enumerate() {
             loop {
-                let (pa, pb) = (self.position[la], self.position[lb]);
-                if self.grid.adjacent(pa, pb) {
+                let (pa, pb) = (place.position[la], place.position[lb]);
+                if place.grid.adjacent(pa, pb) {
                     ops.push(RouteOp::Gate {
                         index,
                         a: pa,
@@ -92,10 +114,10 @@ impl Router {
                     break;
                 }
                 // Step the first token one site along a shortest path.
-                let path = self.grid.shortest_path(pa, pb);
+                let path = place.grid.shortest_path(pa, pb);
                 let next = path[1];
                 ops.push(RouteOp::Swap(pa, next));
-                self.swap_sites(pa, next);
+                place.swap_sites(pa, next);
             }
         }
         ops

@@ -15,8 +15,9 @@
 //!   deterministic scoped-thread worker pool, and served per request by
 //!   re-dressing the class solutions. Batch output is bit-identical at
 //!   any worker count.
-//! - The facade: `ashn::Compiler::with_shared_cache` plugs a
-//!   [`ShardedCache`] into the existing single-circuit compiler, so
+//! - The facade: `ashn::Compiler` keeps its memo store in a
+//!   [`ShardedCache`] (a private one-shard cache by default), and
+//!   `ashn::Compiler::with_shared_cache` hands it a process-wide one, so
 //!   interactive use and batch service share one memo store.
 //!
 //! ```no_run
@@ -39,11 +40,12 @@ pub mod persist;
 pub mod service;
 pub mod sharded;
 
+pub use ashn_opt::OPT_ACCEPT_TOL;
 pub use ashn_synth::resilience::RetryPolicy;
 pub use error::ServiceError;
 pub use persist::{LoadOutcome, LoadReport, HEADER};
 pub use service::{
     BatchCompileResult, BatchResult, CompileRequest, CompileResult, CompileService, OptLevel,
-    Resilience, ServiceStats, OPT_ACCEPT_TOL,
+    Resilience, ServiceStats,
 };
 pub use sharded::{ShardedCache, DEFAULT_CAPACITY, DEFAULT_SHARDS};

@@ -25,8 +25,11 @@
 //! can change *speed*, never *bits*).
 //!
 //! [`CompileService::compile_batch`] extends the same machinery to whole
-//! circuits: per-request routing on a grid ([`LookaheadRouter`]), optional
-//! optimizer passes, and noise scheduling — the full
+//! circuits: it validates each request, primes and serves the valid
+//! requests' gates through the same four phases, and assembles each
+//! request from its served gates — routing on a grid
+//! ([`LookaheadRouter`]), optional optimizer passes, and noise
+//! scheduling — the full
 //! synthesize → route → opt → schedule pipeline behind a
 //! [`CompileRequest`]/[`CompileResult`] API.
 
@@ -37,7 +40,7 @@ use ashn_gates::kak::weyl_coordinates4;
 use ashn_gates::weyl::WeylPoint;
 use ashn_ir::{Basis, Circuit};
 use ashn_math::{CMat, Mat4};
-use ashn_opt::{standard_pipeline, structural_pipeline, OptStats};
+use ashn_opt::{standard_pipeline, structural_pipeline, OptStats, OPT_ACCEPT_TOL};
 use ashn_qv::{stamp_noise, QvNoise};
 use ashn_route::{Grid, LookaheadRouter, RouteOp};
 use ashn_synth::cache::{serve_from_entry, ClassEntry, ClassKey, ClassStore, Lookup};
@@ -49,11 +52,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Acceptance tolerance for resynthesized blocks under
-/// [`OptLevel::Standard`] — the fidelity scale the numerical bases
-/// synthesize to (mirrors `ashn::Compiler::OPT_ACCEPT_TOL`).
-pub const OPT_ACCEPT_TOL: f64 = 1e-5;
 
 /// Resilience knobs for a [`CompileService`]: retry/deadline policy for
 /// cold synthesis, the exact-CNOT degradation tier, and the post-serve
@@ -192,8 +190,9 @@ pub struct ServiceStats {
     /// Requests in the batch.
     pub requests: usize,
     /// Two-qubit synthesis targets across the batch (== `requests` for
-    /// [`CompileService::synthesize_batch`]; the total 2q instruction
-    /// count for [`CompileService::compile_batch`]).
+    /// [`CompileService::synthesize_batch`]; the 2q instruction count of
+    /// the requests that passed validation for
+    /// [`CompileService::compile_batch`]).
     pub targets: usize,
     /// Distinct Weyl classes among the valid targets.
     pub unique_classes: usize,
@@ -838,59 +837,18 @@ impl<B: Basis + Sync> CompileService<B> {
     /// table (exact repeats verbatim, same-class targets re-dressed).
     /// Output is bit-identical for any worker count.
     pub fn synthesize_batch(&self, targets: &[CMat]) -> BatchResult {
-        let telemetry = ashn_telemetry::current();
-        let _batch_span = telemetry.span("service.batch");
-        telemetry.add("service.batches", 1);
-        telemetry.add("service.requests", targets.len() as u64);
-        telemetry.add("service.targets", targets.len() as u64);
+        let _batch_span = ashn_telemetry::current().span("service.batch");
         let t0 = Instant::now();
         let refs: Vec<&CMat> = targets.iter().collect();
         let prepared = self.prime(&refs);
-        let mut stats = ServiceStats {
-            requests: targets.len(),
-            targets: targets.len(),
-            workers: self.workers,
-            retries: prepared.retries,
-            worker_panics: prepared.panics,
-            ..ServiceStats::default()
-        };
-        // Serve phase, panic-isolated: a panicking serve is repaired
-        // serially (outside the pool), and if the repair panics too the
-        // target drops to the degradation tier — the batch never dies.
-        let serve_span = telemetry.span("service.serve");
-        let isolated = parallel_map_isolated(self.workers, targets.len(), |i| {
-            self.serve_target(&targets[i], i, &prepared)
-        });
-        let served: Vec<Served> = isolated
+        let slices: Vec<(usize, usize)> = (0..targets.len()).map(|i| (i, i + 1)).collect();
+        let (mut stats, served, _) =
+            self.serve_batch(targets.len(), &refs, &prepared, &slices, |_, _| Ok(()));
+        let (degraded, circuits) = served
             .into_iter()
-            .enumerate()
-            .map(|(i, r)| match r {
-                Ok(s) => s,
-                Err(TaskPanic { .. }) => {
-                    stats.worker_panics += 1;
-                    self.repair_serve(&targets[i], i, &prepared)
-                }
-            })
-            .collect();
-        drop(serve_span);
-        telemetry.event(
-            "service.serve",
-            &[("targets", (targets.len() as u64).into())],
-        );
-        Self::class_counts(&prepared, &mut stats);
-        let mut circuits = Vec::with_capacity(served.len());
-        let mut degraded = Vec::with_capacity(served.len());
-        let mut tiers = Vec::with_capacity(served.len());
-        for s in served {
-            tiers.push(s.tier);
-            degraded.push(s.tier == Tier::Degraded);
-            stats.quarantined += s.acct.quarantined;
-            stats.retries += s.acct.retries;
-            circuits.push(s.result);
-        }
-        self.tally(tiers, &mut stats);
-        stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        Self::mirror_resilience(&telemetry, &stats);
+            .map(|s| (s.tier == Tier::Degraded, s.result))
+            .unzip();
+        Self::finish_batch(t0, &mut stats);
         BatchResult {
             circuits,
             degraded,
@@ -898,9 +856,90 @@ impl<B: Basis + Sync> CompileService<B> {
         }
     }
 
-    /// Bulk-mirrors a finished batch's resilience accounting into the
-    /// registry (one add per nonzero counter).
-    fn mirror_resilience(telemetry: &ashn_telemetry::Registry, stats: &ServiceStats) {
+    /// The one serve path behind both front ends. Fans one job per slice
+    /// of `targets` over the worker pool: the job serves its targets from
+    /// the sealed class table and hands the serves to `finish` — nothing to
+    /// do for [`Self::synthesize_batch`] (one target per slice), request
+    /// assembly for [`Self::compile_batch`] (one request per slice, so a
+    /// request's serves run on the worker that assembles them). Every serve
+    /// is then folded into fresh [`ServiceStats`] for a batch of
+    /// `requests`, the shared cache's counters and the telemetry registry.
+    /// Returns the stats, every serve in target order, and each slice's
+    /// `finish` result.
+    ///
+    /// A panicking job is retried serially, outside the pool (where the
+    /// worker-boundary failpoint cannot re-fire): each target gets
+    /// [`Self::repair_serve`]'s second chance, and a second `finish` panic
+    /// fails only that slice — the batch never dies.
+    fn serve_batch<T: Send>(
+        &self,
+        requests: usize,
+        targets: &[&CMat],
+        prepared: &Prepared,
+        slices: &[(usize, usize)],
+        finish: impl Fn(usize, &[Served]) -> Result<T, ServiceError> + Sync,
+    ) -> (ServiceStats, Vec<Served>, Vec<Result<T, ServiceError>>) {
+        let telemetry = ashn_telemetry::current();
+        telemetry.add("service.batches", 1);
+        telemetry.add("service.requests", requests as u64);
+        telemetry.add("service.targets", targets.len() as u64);
+        let mut stats = ServiceStats {
+            requests,
+            targets: targets.len(),
+            workers: self.workers,
+            retries: prepared.retries,
+            worker_panics: prepared.panics,
+            ..ServiceStats::default()
+        };
+        let serve_span = telemetry.span("service.serve");
+        let isolated = parallel_map_isolated(self.workers, slices.len(), |j| {
+            let (start, end) = slices[j];
+            let served: Vec<Served> = (start..end)
+                .map(|i| self.serve_target(targets[i], i, prepared))
+                .collect();
+            let finished = finish(j, &served);
+            (served, finished)
+        });
+        let mut served = Vec::with_capacity(targets.len());
+        let mut finished = Vec::with_capacity(slices.len());
+        for (j, job) in isolated.into_iter().enumerate() {
+            let (slice, done) = job.unwrap_or_else(|TaskPanic { .. }| {
+                stats.worker_panics += 1;
+                let (start, end) = slices[j];
+                let slice: Vec<Served> = (start..end)
+                    .map(|i| self.repair_serve(targets[i], i, prepared))
+                    .collect();
+                let done = catch_unwind(AssertUnwindSafe(|| finish(j, &slice))).unwrap_or_else(
+                    |payload| {
+                        Err(ServiceError::WorkerPanic {
+                            detail: describe_panic(payload.as_ref()),
+                        })
+                    },
+                );
+                (slice, done)
+            });
+            served.extend(slice);
+            finished.push(done);
+        }
+        drop(serve_span);
+        telemetry.event(
+            "service.serve",
+            &[("targets", (targets.len() as u64).into())],
+        );
+        Self::class_counts(prepared, &mut stats);
+        for s in &served {
+            stats.quarantined += s.acct.quarantined;
+            stats.retries += s.acct.retries;
+        }
+        self.tally(served.iter().map(|s| s.tier), &mut stats);
+        (stats, served, finished)
+    }
+
+    /// Stamps the batch wall time and bulk-mirrors the batch's resilience
+    /// accounting into the registry (one add per nonzero counter).
+    fn finish_batch(t0: Instant, stats: &mut ServiceStats) {
+        stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let telemetry = ashn_telemetry::current();
         for (name, value) in [
             ("service.quarantined", stats.quarantined),
             ("service.retries", stats.retries),
@@ -970,202 +1009,85 @@ impl<B: Basis + Sync> CompileService<B> {
     /// synthesize (batch-deduplicated) → route ([`LookaheadRouter`]) →
     /// optimize (per-request [`OptLevel`]) → schedule (per-request noise).
     ///
-    /// All two-qubit targets across *every* request are canonicalized and
-    /// deduplicated together before any synthesis runs, then each request
-    /// is assembled independently on the worker pool. Output is
-    /// bit-identical for any worker count.
+    /// Serve, then assemble. Each request is validated first (the grid
+    /// holds the register; every instruction acts on 0–2 distinct in-range
+    /// wires); a rejected request returns its error and contributes no
+    /// targets. The two-qubit targets of every valid request are primed
+    /// together and served on the same path as [`Self::synthesize_batch`],
+    /// one pool job per request: the job serves the request's slice of
+    /// targets, then assembles the request from those circuits. A request
+    /// is `degraded` when any of its gates was served by the CNOT
+    /// degradation tier. Output is bit-identical for any worker count.
     pub fn compile_batch(&self, requests: &[CompileRequest]) -> BatchCompileResult {
-        let telemetry = ashn_telemetry::current();
-        let _batch_span = telemetry.span("service.batch");
-        telemetry.add("service.batches", 1);
-        telemetry.add("service.requests", requests.len() as u64);
+        let _batch_span = ashn_telemetry::current().span("service.batch");
         let t0 = Instant::now();
-        // Gather every 2q target across the batch (request-major order)
-        // plus each request's slice into that list.
+        let grids: Vec<Result<Grid, ServiceError>> = requests.iter().map(validate).collect();
+        // Gather the valid requests' 2q targets (request-major order) plus
+        // each request's slice into that list.
         let mut targets: Vec<&CMat> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(requests.len());
-        for req in requests {
+        let mut slices: Vec<(usize, usize)> = Vec::with_capacity(requests.len());
+        for (req, grid) in requests.iter().zip(&grids) {
             let start = targets.len();
-            for inst in &req.circuit.instructions {
-                if inst.qubits.len() == 2 {
-                    targets.push(&inst.matrix);
-                }
+            if grid.is_ok() {
+                targets.extend(
+                    req.circuit
+                        .instructions
+                        .iter()
+                        .filter(|inst| inst.qubits.len() == 2)
+                        .map(|inst| &inst.matrix),
+                );
             }
-            spans.push((start, targets.len()));
+            slices.push((start, targets.len()));
         }
-        telemetry.add("service.targets", targets.len() as u64);
         let prepared = self.prime(&targets);
         let swap_fragment = self.swap_fragment();
-
-        let mut stats = ServiceStats {
-            requests: requests.len(),
-            targets: targets.len(),
-            workers: self.workers,
-            retries: prepared.retries,
-            worker_panics: prepared.panics,
-            ..ServiceStats::default()
-        };
-        // Request assembly, panic-isolated: a panicking request is retried
-        // once serially (outside the pool, where the worker-boundary
-        // failpoint cannot re-fire); a second panic fails only that
-        // request — the batch never dies.
-        let serve_span = telemetry.span("service.serve");
-        let isolated = parallel_map_isolated(self.workers, requests.len(), |r| {
-            self.compile_one(
-                &requests[r],
-                spans[r].0,
-                &targets,
-                &prepared,
-                &swap_fragment,
-            )
-        });
-        let compiled: Vec<(Vec<Tier>, ResAcct, Result<CompileResult, ServiceError>)> = isolated
-            .into_iter()
-            .enumerate()
-            .map(|(r, outcome)| match outcome {
-                Ok(done) => done,
-                Err(TaskPanic { .. }) => {
-                    stats.worker_panics += 1;
-                    match catch_unwind(AssertUnwindSafe(|| {
-                        self.compile_one(
-                            &requests[r],
-                            spans[r].0,
-                            &targets,
-                            &prepared,
-                            &swap_fragment,
-                        )
-                    })) {
-                        Ok(done) => done,
-                        Err(payload) => (
-                            Vec::new(),
-                            ResAcct::default(),
-                            Err(ServiceError::WorkerPanic {
-                                detail: describe_panic(payload.as_ref()),
-                            }),
-                        ),
-                    }
-                }
-            })
-            .collect();
-        drop(serve_span);
-        telemetry.event(
-            "service.serve",
-            &[("requests", (requests.len() as u64).into())],
-        );
-
-        Self::class_counts(&prepared, &mut stats);
-        let mut results = Vec::with_capacity(compiled.len());
-        let mut tiers = Vec::new();
-        for (request_tiers, acct, result) in compiled {
-            tiers.extend(request_tiers);
-            stats.quarantined += acct.quarantined;
-            stats.retries += acct.retries;
-            results.push(result);
-        }
-        self.tally(tiers, &mut stats);
-        stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        Self::mirror_resilience(&telemetry, &stats);
+        let (mut stats, _, results) =
+            self.serve_batch(requests.len(), &targets, &prepared, &slices, |r, served| {
+                self.assemble(&requests[r], grids[r].clone()?, served, &swap_fragment)
+            });
+        Self::finish_batch(t0, &mut stats);
         BatchCompileResult { results, stats }
     }
 
-    /// Routes, optimizes, and schedules one request against the sealed
-    /// class table. Pure in its inputs — safe to fan over workers.
-    fn compile_one(
+    /// Routes, embeds, optimizes, and schedules one validated request from
+    /// its served two-qubit circuits (`served[k]` realizes the request's
+    /// `k`-th 2q instruction). Pure in its inputs — safe to fan over
+    /// workers.
+    fn assemble(
         &self,
         req: &CompileRequest,
-        target_start: usize,
-        targets: &[&CMat],
-        prepared: &Prepared,
+        grid: Grid,
+        served: &[Served],
         swap_fragment: &Result<Circuit, ServiceError>,
-    ) -> (Vec<Tier>, ResAcct, Result<CompileResult, ServiceError>) {
-        let mut tiers = Vec::new();
-        let mut acct = ResAcct::default();
-        let result = self
-            .compile_one_inner(
-                req,
-                target_start,
-                targets,
-                prepared,
-                swap_fragment,
-                &mut tiers,
-                &mut acct,
-            )
-            .map(|mut compiled| {
-                compiled.degraded = tiers.contains(&Tier::Degraded);
-                compiled
-            });
-        (tiers, acct, result)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn compile_one_inner(
-        &self,
-        req: &CompileRequest,
-        target_start: usize,
-        targets: &[&CMat],
-        prepared: &Prepared,
-        swap_fragment: &Result<Circuit, ServiceError>,
-        tiers: &mut Vec<Tier>,
-        acct: &mut ResAcct,
     ) -> Result<CompileResult, ServiceError> {
         let n = req.circuit.n_qubits();
-        let grid = req.grid.unwrap_or_else(|| Grid::for_qubits(n));
-        if grid.len() < n {
-            return Err(ServiceError::Config {
-                detail: format!("grid has {} sites but the circuit needs {n}", grid.len()),
-            });
-        }
         let sites = grid.len();
         let mut router = LookaheadRouter::new(grid, n);
         let mut physical = Circuit::new(sites);
         physical.phase = req.circuit.phase;
-        let mut tidx = target_start;
+        let mut gates = served.iter().map(|s| &s.result);
         for inst in &req.circuit.instructions {
             match *inst.qubits.as_slice() {
                 // Scalar instructions fold into the global phase.
                 [] => physical.phase *= inst.matrix[(0, 0)],
                 [q] => {
-                    if q >= n {
-                        return Err(ServiceError::InvalidRequest {
-                            detail: format!("wire {q} outside the {n}-qubit register"),
-                        });
-                    }
                     let mut moved = inst.clone();
                     moved.qubits = vec![router.position(q)];
                     physical.try_push(moved)?;
                 }
                 [a, b] => {
-                    if a == b || a >= n || b >= n {
-                        return Err(ServiceError::InvalidRequest {
-                            detail: format!("bad wire pair ({a}, {b}) on {n} qubits"),
-                        });
-                    }
-                    let index = tidx;
-                    tidx += 1;
                     for op in router.route_layer(&[(a, b)]) {
-                        match op {
-                            RouteOp::Swap(x, y) => {
-                                let fragment = swap_fragment.as_ref().map_err(Clone::clone)?;
-                                physical.append(fragment.embed(sites, &[x, y])?)?;
+                        let (piece, x, y) = match op {
+                            RouteOp::Swap(x, y) => (swap_fragment, x, y),
+                            RouteOp::Gate { a, b, .. } => {
+                                (gates.next().expect("one serve per 2q gate"), a, b)
                             }
-                            RouteOp::Gate { a: pa, b: pb, .. } => {
-                                let served = self.serve_target(targets[index], index, prepared);
-                                tiers.push(served.tier);
-                                acct.quarantined += served.acct.quarantined;
-                                acct.retries += served.acct.retries;
-                                physical.append(served.result?.embed(sites, &[pa, pb])?)?;
-                            }
-                        }
+                        };
+                        let piece = piece.as_ref().map_err(Clone::clone)?;
+                        physical.append(piece.embed(sites, &[x, y])?)?;
                     }
                 }
-                _ => {
-                    let detail = format!(
-                        "instruction {:?} acts on {} qubits; the pipeline compiles 1q/2q circuits",
-                        inst.label,
-                        inst.qubits.len()
-                    );
-                    return Err(ServiceError::InvalidRequest { detail });
-                }
+                _ => unreachable!("validated requests hold 0-2 qubit instructions"),
             }
         }
 
@@ -1192,7 +1114,36 @@ impl<B: Basis + Sync> CompileService<B> {
             circuit,
             positions: (0..n).map(|l| router.position(l)).collect(),
             opt_stats,
-            degraded: false,
+            degraded: served.iter().any(|s| s.tier == Tier::Degraded),
         })
     }
+}
+
+/// Checks a request before any of its gates are gathered: the grid must
+/// hold the register, and every instruction must act on 0–2 distinct
+/// in-range wires. Returns the routing grid.
+fn validate(req: &CompileRequest) -> Result<Grid, ServiceError> {
+    let n = req.circuit.n_qubits();
+    let grid = req.grid.unwrap_or_else(|| Grid::for_qubits(n));
+    if grid.len() < n {
+        return Err(ServiceError::Config {
+            detail: format!("grid has {} sites but the circuit needs {n}", grid.len()),
+        });
+    }
+    for inst in &req.circuit.instructions {
+        let detail = match *inst.qubits.as_slice() {
+            [] => continue,
+            [q] if q < n => continue,
+            [a, b] if a != b && a < n && b < n => continue,
+            [q] => format!("wire {q} outside the {n}-qubit register"),
+            [a, b] => format!("bad wire pair ({a}, {b}) on {n} qubits"),
+            _ => format!(
+                "instruction {:?} acts on {} qubits; the pipeline compiles 1q/2q circuits",
+                inst.label,
+                inst.qubits.len()
+            ),
+        };
+        return Err(ServiceError::InvalidRequest { detail });
+    }
+    Ok(grid)
 }

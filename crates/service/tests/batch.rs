@@ -7,7 +7,10 @@ use ashn_gates::single::h;
 use ashn_ir::{Circuit, Instruction};
 use ashn_math::randmat::haar_unitary;
 use ashn_math::{c, CMat};
-use ashn_service::{CompileRequest, CompileService, OptLevel, ServiceError, ShardedCache};
+use ashn_route::Grid;
+use ashn_service::{
+    CompileRequest, CompileService, OptLevel, ServiceError, ServiceStats, ShardedCache,
+};
 use ashn_sim::Simulate;
 use ashn_synth::basis::AshnBasis;
 use common::{dressed, fingerprint, ExactBasis};
@@ -267,6 +270,38 @@ fn malformed_requests_fail_alone_without_poisoning_the_batch() {
         Err(ServiceError::InvalidRequest { .. })
     ));
     assert!(batch.results[2].is_ok());
+}
+
+/// Rejected requests are validated away before any gate is gathered: their
+/// two-qubit gates are never counted, deduplicated or synthesized.
+#[test]
+fn rejected_requests_prime_no_classes() {
+    let mut rng = StdRng::seed_from_u64(0x5ea1);
+    let valid = CompileRequest::new(random_model(3, 3, &mut rng));
+    // Three qubits on a two-site grid.
+    let cramped = CompileRequest::new(random_model(3, 3, &mut rng)).grid(Grid::new(1, 2));
+    // A 3-qubit instruction between two 2q gates.
+    let mut wide = Circuit::new(3);
+    for (qubits, dim) in [(vec![0, 1], 4), (vec![0, 1, 2], 8), (vec![1, 2], 4)] {
+        wide.try_push(Instruction::new(qubits, haar_unitary(dim, &mut rng), "u"))
+            .unwrap();
+    }
+    let batch = CompileService::new(ExactBasis).compile_batch(&[
+        cramped,
+        valid.clone(),
+        CompileRequest::new(wide),
+    ]);
+    assert!(matches!(batch.results[0], Err(ServiceError::Config { .. })));
+    assert!(batch.results[1].is_ok());
+    assert!(matches!(
+        batch.results[2],
+        Err(ServiceError::InvalidRequest { .. })
+    ));
+
+    let alone = CompileService::new(ExactBasis).compile_batch(&[valid]);
+    let counts = |s: &ServiceStats| (s.targets, s.unique_classes, s.cold_classes);
+    assert_eq!(counts(&batch.stats), counts(&alone.stats));
+    assert_eq!(batch.stats.targets, 3, "one Haar 2q gate per layer");
 }
 
 #[test]

@@ -12,15 +12,16 @@
 //! routed SWAPs, repeated bench models, scoring one compilation at many
 //! noise levels) are re-dressed by exactly-identity corrections, which are
 //! trimmed away — a hit returns an instruction list identical to the cold
-//! synthesis. The cache is bounded (LRU eviction by default, FIFO on
-//! request) and internally locked, so one instance can serve every worker
-//! of a batch run.
+//! synthesis. The cache is bounded (least-recently-used eviction) and
+//! internally locked, so one instance can serve every worker of a batch
+//! run.
 //!
 //! The storage behind [`CachedBasis`] is pluggable via [`ClassStore`]:
-//! [`SynthCache`] is the single-mutex store used per `ashn::Compiler`;
-//! `ashn-service`'s `ShardedCache` stripes the same entries over many
-//! locks and persists them to disk, sharing [`ClassKey`]/[`ClassEntry`]
-//! and the serve logic ([`serve_from_entry`]) with this module.
+//! [`SynthCache`] is one single-mutex LRU store; `ashn-service`'s
+//! `ShardedCache` stripes [`SynthCache`] shards over many locks (one shard
+//! is the private store of an `ashn::Compiler`) and persists them to disk,
+//! sharing [`ClassKey`]/[`ClassEntry`] and the serve logic
+//! ([`serve_from_entry`]) with this module.
 
 use crate::circuit2::{align_to_target, TwoQubitCircuit};
 use ashn_gates::kak::{weyl_coordinates, weyl_coordinates4};
@@ -165,18 +166,6 @@ pub fn serve_from_entry(
     None
 }
 
-/// Which entry a full cache discards first (see [`SynthCache::with_policy`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Discard the least-recently-*used* entry (the default — repeated hot
-    /// classes survive arbitrarily long scans of cold ones).
-    #[default]
-    Lru,
-    /// Discard the oldest-*inserted* entry (the pre-LRU behavior, kept for
-    /// differential comparisons).
-    Fifo,
-}
-
 #[derive(Clone, Debug)]
 struct Slot {
     entry: ClassEntry,
@@ -194,12 +183,13 @@ struct CacheInner {
     evictions: u64,
 }
 
-/// Shared, bounded class→circuit store.
+/// Shared, bounded class→circuit store. A full cache discards the
+/// least-recently-used entry, so repeated hot classes survive arbitrarily
+/// long scans of cold ones.
 #[derive(Clone, Debug)]
 pub struct SynthCache {
     inner: Arc<Mutex<CacheInner>>,
     capacity: usize,
-    policy: EvictionPolicy,
 }
 
 /// Hit/miss/occupancy snapshot of a [`SynthCache`].
@@ -285,31 +275,16 @@ impl SynthCache {
     ///
     /// Panics when `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_policy(capacity, EvictionPolicy::Lru)
-    }
-
-    /// A cache with an explicit eviction policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `capacity` is zero.
-    pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
             inner: Arc::new(Mutex::new(CacheInner::default())),
             capacity,
-            policy,
         }
     }
 
     /// Maximum entries retained.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The configured eviction policy.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Current hit/miss/occupancy counters.
@@ -349,15 +324,10 @@ impl SynthCache {
 impl ClassStore for SynthCache {
     fn fetch(&self, key: &ClassKey) -> Option<ClassEntry> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let touch = self.policy == EvictionPolicy::Lru;
-        if touch {
-            inner.tick += 1;
-        }
+        inner.tick += 1;
         let tick = inner.tick;
         inner.map.get_mut(key).map(|slot| {
-            if touch {
-                slot.stamp = tick;
-            }
+            slot.stamp = tick;
             slot.entry.clone()
         })
     }
@@ -368,9 +338,8 @@ impl ClassStore for SynthCache {
         let stamp = inner.tick;
         if !inner.map.contains_key(&key) {
             while inner.map.len() >= self.capacity {
-                // Oldest stamp = least recently used (LRU) or first
-                // inserted (FIFO, where hits never re-stamp). Ties are
-                // impossible: the tick is strictly increasing.
+                // Oldest stamp = least recently used. Ties are impossible:
+                // the tick is strictly increasing.
                 let victim = inner
                     .map
                     .iter()
@@ -659,10 +628,9 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_bounded_with_fifo_eviction() {
+    fn cache_is_bounded_with_lru_eviction() {
         let mut rng = StdRng::seed_from_u64(603);
-        let cached =
-            CachedBasis::with_cache(CzBasis, SynthCache::with_policy(3, EvictionPolicy::Fifo));
+        let cached = CachedBasis::with_cache(CzBasis, SynthCache::with_capacity(3));
         for _ in 0..8 {
             let u = haar_unitary(4, &mut rng);
             cached.synthesize(&u).unwrap();
@@ -676,7 +644,7 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_the_hot_class() {
         // Capacity 2: synthesize A, B, re-touch A, then C. LRU must evict
-        // B (A was used more recently); FIFO would have evicted A.
+        // B (A was used more recently), not the older insert A.
         let mut rng = StdRng::seed_from_u64(605);
         let a = haar_unitary(4, &mut rng);
         let b = haar_unitary(4, &mut rng);
@@ -696,26 +664,6 @@ mod tests {
         );
         cached.synthesize(&b).unwrap(); // gone: cold again
         assert_eq!(cached.cache().stats().misses, 4);
-    }
-
-    #[test]
-    fn fifo_eviction_ignores_touches() {
-        // Same access pattern as the LRU test, FIFO policy: re-touching A
-        // does not save it — A is the oldest insert and gets evicted.
-        let mut rng = StdRng::seed_from_u64(605);
-        let a = haar_unitary(4, &mut rng);
-        let b = haar_unitary(4, &mut rng);
-        let c = haar_unitary(4, &mut rng);
-        let cached =
-            CachedBasis::with_cache(CzBasis, SynthCache::with_policy(2, EvictionPolicy::Fifo));
-        cached.synthesize(&a).unwrap();
-        cached.synthesize(&b).unwrap();
-        cached.synthesize(&a).unwrap(); // touch A (FIFO ignores it)
-        cached.synthesize(&c).unwrap(); // evicts A
-        cached.synthesize(&a).unwrap(); // cold again (its re-insert evicts B)
-        let stats = cached.cache().stats();
-        assert_eq!(stats.misses, 4, "FIFO kept the touched class");
-        assert_eq!(stats.evictions, 2);
     }
 
     #[test]

@@ -46,8 +46,7 @@ pub mod three_qubit;
 
 pub use basis::{AshnBasis, CnotBasis, CzBasis, EcrBasis, SqiswBasis};
 pub use cache::{
-    serve_from_entry, CacheStats, CachedBasis, ClassEntry, ClassKey, ClassStore, EvictionPolicy,
-    Lookup, SynthCache,
+    serve_from_entry, CacheStats, CachedBasis, ClassEntry, ClassKey, ClassStore, Lookup, SynthCache,
 };
-pub use resilience::{synthesize_resilient, ResilientBasis, ResilientOutcome, RetryPolicy};
+pub use resilience::{synthesize_resilient, ResilientOutcome, RetryPolicy};
 pub use retarget::{standard_rules, GateSetRegistry, RuleSet};

@@ -1,4 +1,4 @@
-//! Retry, deadline, and graceful-degradation wrappers around any
+//! Retry, deadline, and graceful degradation for synthesis on any
 //! [`Basis`]: the synthesis-side half of the service resilience story.
 //!
 //! [`synthesize_resilient`] drives a basis through an escalating retry
@@ -199,56 +199,6 @@ pub fn synthesize_resilient<B: Basis + ?Sized>(
     }
 }
 
-/// A [`Basis`] adapter applying a [`RetryPolicy`] to every synthesis.
-///
-/// Wrap *outside* any cache (`ResilientBasis<CachedBasis<B>>`), never
-/// inside: circuits produced by the degradation tier must not be stored
-/// under the wrapped basis's cache key.
-#[derive(Clone, Debug)]
-pub struct ResilientBasis<B> {
-    inner: B,
-    policy: RetryPolicy,
-}
-
-impl<B: Basis> ResilientBasis<B> {
-    /// Wraps `inner` with `policy`.
-    pub fn new(inner: B, policy: RetryPolicy) -> Self {
-        Self { inner, policy }
-    }
-
-    /// The wrapped basis.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-}
-
-impl<B: Basis> Basis for ResilientBasis<B> {
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-
-    fn cache_params(&self) -> String {
-        self.inner.cache_params()
-    }
-
-    fn synthesize(&self, u: &CMat) -> Result<Circuit, SynthError> {
-        synthesize_resilient(&self.inner, u, &self.policy).map(|o| o.circuit)
-    }
-
-    fn expected_entanglers(&self, u: &CMat) -> usize {
-        self.inner.expected_entanglers(u)
-    }
-
-    fn metadata(&self) -> Option<ashn_ir::BasisMetadata> {
-        self.inner.metadata()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,17 +338,6 @@ mod tests {
         let out = synthesize_resilient(&always_broken, &u, &policy).unwrap();
         assert!(out.degraded.is_some());
         assert!(out.circuit.error(&u) < 1e-9);
-    }
-
-    #[test]
-    fn resilient_basis_is_transparent_on_success() {
-        let u = target();
-        let wrapped = ResilientBasis::new(CnotBasis, RetryPolicy::default());
-        assert_eq!(wrapped.name(), CnotBasis.name());
-        assert_eq!(wrapped.cache_params(), CnotBasis.cache_params());
-        let a = wrapped.synthesize(&u).unwrap();
-        let b = CnotBasis.synthesize(&u).unwrap();
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -36,8 +36,7 @@ use ashn_sim::plan::{ExecPlan, PlanError};
 use ashn_sim::trajectory::trajectory_probabilities_batched_plan;
 use ashn_sim::{DensityMatrix, NoiseModel, SimEngine, Simulate, StateVector};
 use ashn_synth::basis::AshnBasis;
-use ashn_synth::cache::{CachedBasis, SynthCache};
-use ashn_synth::resilience::{ResilientBasis, RetryPolicy};
+use ashn_synth::cache::CachedBasis;
 use ashn_synth::retarget::standard_rules;
 
 /// Synthesis-cache counters exposed by [`Compiler::synth_stats`]
@@ -69,17 +68,6 @@ pub enum OptLevel {
     Default,
 }
 
-/// Which memo store wraps the compiler's basis at `compile` time.
-enum CacheConfig {
-    /// A compiler-private bounded LRU ([`SynthCache`]) — the default.
-    Local(SynthCache),
-    /// A caller-provided process-wide [`ShardedCache`], shared with other
-    /// compilers and `ashn_service::CompileService` instances.
-    Shared(ShardedCache),
-    /// No memoization ([`Compiler::basis_uncached`]).
-    Off,
-}
-
 /// Builder for the end-to-end compilation pipeline.
 ///
 /// Defaults: the AshN basis with the paper's cutoff `r = 1.1`, the paper's
@@ -89,19 +77,23 @@ enum CacheConfig {
 /// synthesize → route → schedule → simulate output bit for bit. Select
 /// [`OptLevel::Light`] for the exact structural rewrites or
 /// [`OptLevel::Default`] to add two-qubit block resynthesis.
+///
+/// Every synthesis goes through one memo store, a [`ShardedCache`]: a
+/// private one-shard cache of 256 classes unless
+/// [`Compiler::with_shared_cache`] installs a process-wide one. Callers who
+/// need retries and graceful degradation use
+/// `ashn_service::CompileService` with its `Resilience` policy.
 pub struct Compiler {
-    /// The plain (uncached) basis; the memo layer is applied per
-    /// [`Compiler::compile`] call from [`CacheConfig`], so one compiler can
-    /// switch between local, shared, and no caching without re-wrapping.
+    /// The plain basis; the memo layer is applied per [`Compiler::compile`]
+    /// call, so swapping the basis or the cache never re-wraps anything.
     basis: Box<dyn Basis>,
     /// When set, [`Compiler::retarget_circuit`] only rewrites gates native
     /// to this source set (the "port that machine's circuits" shape).
     source: Option<Box<dyn Basis>>,
     noise: QvNoise,
     grid: Option<Grid>,
-    cache: CacheConfig,
+    cache: ShardedCache,
     opt: OptLevel,
-    retry: Option<RetryPolicy>,
 }
 
 impl Default for Compiler {
@@ -118,20 +110,15 @@ impl Compiler {
             source: None,
             noise: QvNoise::with_e_cz(0.007),
             grid: None,
-            cache: CacheConfig::Local(SynthCache::default()),
+            cache: ShardedCache::with_config(1, 256),
             opt: OptLevel::None,
-            retry: None,
         }
     }
 
     /// Acceptance tolerance for resynthesized blocks under
-    /// [`OptLevel::Default`]: a replacement is committed only when its
-    /// realized unitary is within this Frobenius distance of the block it
-    /// replaces — the same fidelity scale the numerical bases (AshN pulse
-    /// compilation, the SQiSW interleaver search) synthesize to, so
-    /// optimization never degrades fidelity below what compilation already
-    /// delivers.
-    pub const OPT_ACCEPT_TOL: f64 = 1e-5;
+    /// [`OptLevel::Default`] ([`ashn_opt::OPT_ACCEPT_TOL`], the one value
+    /// both front ends use).
+    pub const OPT_ACCEPT_TOL: f64 = ashn_opt::OPT_ACCEPT_TOL;
 
     /// Sets the optimization level run between routing and scheduling
     /// (default: [`OptLevel::None`] — optimization is opt-in so the
@@ -145,31 +132,15 @@ impl Compiler {
     /// Sets the native basis (any [`Basis`] implementation — the built-in
     /// CNOT/CZ/SQiSW/AshN sets from `ashn-synth`, or a user-defined one).
     ///
-    /// At `compile` time the basis is wrapped in the synthesis memo-cache
-    /// ([`ashn_synth::cache::CachedBasis`]): repeated Weyl classes across
-    /// `compile` calls skip re-instantiation, observable via
-    /// [`Compiler::synth_stats`]. The store is a compiler-private
-    /// [`SynthCache`] unless [`Compiler::with_shared_cache`] installed a
-    /// process-wide one (which is kept); [`Compiler::basis_uncached`]
-    /// disables memoization entirely.
+    /// At `compile` time the basis is wrapped in the compiler's synthesis
+    /// memo-cache ([`ashn_synth::cache::CachedBasis`]): repeated Weyl
+    /// classes across `compile` calls skip re-instantiation, observable via
+    /// [`Compiler::synth_stats`]. Swapping the basis keeps the cache and its
+    /// counters; cache keys carry the basis name and parameters, so entries
+    /// never serve another basis.
     #[must_use]
     pub fn basis(mut self, basis: impl Basis + 'static) -> Self {
         self.basis = Box::new(basis);
-        if !matches!(self.cache, CacheConfig::Shared(_)) {
-            self.cache = CacheConfig::Local(SynthCache::default());
-        }
-        self
-    }
-
-    /// Sets the native basis without wrapping it in the synthesis
-    /// memo-cache: for benchmarking cold synthesis, or when the caller
-    /// manages caching themselves (e.g. a shared
-    /// [`ashn_synth::cache::CachedBasis`]). [`Compiler::synth_stats`]
-    /// returns `None` in this configuration.
-    #[must_use]
-    pub fn basis_uncached(mut self, basis: impl Basis + 'static) -> Self {
-        self.basis = Box::new(basis);
-        self.cache = CacheConfig::Off;
         self
     }
 
@@ -180,20 +151,15 @@ impl Compiler {
     /// persists it. Replaces the compiler-private cache.
     #[must_use]
     pub fn with_shared_cache(mut self, cache: &ShardedCache) -> Self {
-        self.cache = CacheConfig::Shared(cache.clone());
+        self.cache = cache.clone();
         self
     }
 
     /// Current synthesis-cache counters (exact hits / class hits / misses /
-    /// occupancy), or `None` when the basis was installed uncached. With a
-    /// shared cache these aggregate over every compiler and service feeding
-    /// it, not just this one.
-    pub fn synth_stats(&self) -> Option<SynthStats> {
-        match &self.cache {
-            CacheConfig::Local(c) => Some(c.stats()),
-            CacheConfig::Shared(s) => Some(s.stats()),
-            CacheConfig::Off => None,
-        }
+    /// occupancy). With a shared cache these aggregate over every compiler
+    /// and service feeding it, not just this one.
+    pub fn synth_stats(&self) -> SynthStats {
+        self.cache.stats()
     }
 
     /// Sets the basis from the paper's [`GateSet`] enum (convenience
@@ -226,40 +192,15 @@ impl Compiler {
     /// [`AshnError::Opt`] when a pass fails structurally (e.g. the input
     /// contains ≥3-qubit instructions).
     pub fn retarget_circuit(&self, circuit: &Circuit) -> Result<(Circuit, OptStats), AshnError> {
-        self.with_cached_basis(|basis| self.retarget_with(basis, circuit))
-    }
-
-    fn retarget_with<B: Basis>(
-        &self,
-        basis: B,
-        circuit: &Circuit,
-    ) -> Result<(Circuit, OptStats), AshnError> {
         let mut retarget = Retarget::new(self.basis.as_ref());
         if let Some(source) = &self.source {
             retarget = retarget.source(source.as_ref());
         }
         let pipeline = PassManager::new()
             .with_pass(retarget)
-            .with_pass(Resynthesize::new(basis, Self::OPT_ACCEPT_TOL));
+            .with_pass(Resynthesize::new(self.cached_basis(), Self::OPT_ACCEPT_TOL));
         let (out, stats) = pipeline.run(circuit)?;
         Ok((out, stats))
-    }
-
-    /// Arms the synthesis retry/degradation chain
-    /// ([`ashn_synth::resilience`]) on every `compile` call: each gate
-    /// synthesis runs under `policy` — retried with escalating effort and
-    /// deterministically derived jitter seeds, bounded by the policy's
-    /// deadline, and (when the policy allows) degraded to an exact
-    /// CNOT-basis decomposition as the last tier instead of failing the
-    /// compilation.
-    ///
-    /// The resilient layer wraps *outside* the synthesis memo-cache, so
-    /// degraded fallback circuits are never stored under the primary
-    /// basis's cache key.
-    #[must_use]
-    pub fn resilience(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
     }
 
     /// Sets the noise model used for scheduling error rates and scoring.
@@ -286,40 +227,6 @@ impl Compiler {
     /// [`AshnError::Config`] when the grid cannot hold the model;
     /// [`AshnError::Synth`]/[`AshnError::Ir`] from synthesis and assembly.
     pub fn compile(&self, model: &ModelCircuit) -> Result<Compiled, AshnError> {
-        self.with_cached_basis(|basis| self.dispatch(basis, model))
-    }
-
-    /// Wraps the plain basis in the configured memo store, with the
-    /// closed-form rule tier armed, and hands it to `f`. The compiler owns
-    /// an uncached basis so the same instance can feed a private cache, a
-    /// process-wide shared cache, or none.
-    fn with_cached_basis<T>(&self, f: impl FnOnce(&dyn Basis) -> T) -> T {
-        match &self.cache {
-            CacheConfig::Local(c) => {
-                f(&CachedBasis::with_cache(&self.basis, c.clone()).with_rules(standard_rules()))
-            }
-            CacheConfig::Shared(s) => {
-                f(&CachedBasis::with_store(&self.basis, s.clone()).with_rules(standard_rules()))
-            }
-            CacheConfig::Off => f(self.basis.as_ref()),
-        }
-    }
-
-    /// Applies the optional resilient layer outside the memo store (so
-    /// degraded circuits are never cached under the primary basis key) and
-    /// runs the pipeline.
-    fn dispatch<B: Basis>(&self, basis: B, model: &ModelCircuit) -> Result<Compiled, AshnError> {
-        match self.retry {
-            Some(policy) => self.compile_with(&ResilientBasis::new(basis, policy), model),
-            None => self.compile_with(&basis, model),
-        }
-    }
-
-    fn compile_with<B: Basis>(
-        &self,
-        basis: &B,
-        model: &ModelCircuit,
-    ) -> Result<Compiled, AshnError> {
         let grid = self.grid.unwrap_or_else(|| Grid::for_qubits(model.d));
         if grid.len() < model.d {
             return Err(AshnError::Config {
@@ -330,7 +237,8 @@ impl Compiler {
                 ),
             });
         }
-        let mut compiled = compile_model_on(model, basis, Some(grid)).map_err(|e| match e {
+        let basis = self.cached_basis();
+        let mut compiled = compile_model_on(model, &basis, Some(grid)).map_err(|e| match e {
             ashn_ir::SynthError::Ir(ir) => AshnError::Ir(ir),
             other => AshnError::Synth(other),
         })?;
@@ -342,7 +250,7 @@ impl Compiler {
             OptLevel::Light => Some(self.optimize(&mut compiled.circuit, structural_pipeline())?),
             OptLevel::Default => Some(self.optimize(
                 &mut compiled.circuit,
-                standard_pipeline(basis, Self::OPT_ACCEPT_TOL),
+                standard_pipeline(&basis, Self::OPT_ACCEPT_TOL),
             )?),
         };
         Ok(Compiled {
@@ -351,6 +259,13 @@ impl Compiler {
             basis_name: self.basis.name(),
             opt_stats,
         })
+    }
+
+    /// The basis wrapped in the compiler's memo store, with the
+    /// closed-form rule tier armed.
+    fn cached_basis(&self) -> CachedBasis<&dyn Basis, ShardedCache> {
+        CachedBasis::with_store(self.basis.as_ref(), self.cache.clone())
+            .with_rules(standard_rules())
     }
 
     fn optimize(

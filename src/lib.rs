@@ -80,4 +80,3 @@ pub use compiler::{Compiled, Compiler, OptLevel, SynthStats};
 pub use error::AshnError;
 pub use opt::{OptStats, PassManager, Retarget};
 pub use qv::{GateSet, QvNoise};
-pub use synth::resilience::RetryPolicy;
