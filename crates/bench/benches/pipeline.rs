@@ -3,8 +3,8 @@
 //! the baseline for future batching/caching work.
 
 use ashn::{Compiler, GateSet, QvNoise};
+use ashn_math::par::default_workers;
 use ashn_qv::{mean_hop_batched, sample_model_circuit};
-use ashn_sim::batch::default_workers;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;

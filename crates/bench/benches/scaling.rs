@@ -8,7 +8,7 @@
 //! * **threaded** — [`ChunkPolicy::auto`], amplitude-parallel chunked
 //!   kernels on registers at or above
 //!   [`ChunkPolicy::MIN_PARALLEL_QUBITS`] (worker count from
-//!   [`ashn_sim::batch::default_workers`], so `ASHN_WORKERS` applies).
+//!   [`ashn_math::par::default_workers`], so `ASHN_WORKERS` applies).
 //!
 //! Reported per row: time per circuit gate (pure run) and trajectories per
 //! second (noisy ensemble), both paths. Before any timing the sweep
@@ -123,7 +123,7 @@ fn main() {
     println!(
         "scaling sweep: n = {:?} | {cores} core(s) | default workers = {}\n",
         sizes,
-        ashn_sim::batch::default_workers()
+        ashn_math::par::default_workers()
     );
 
     let mut rows = Vec::new();

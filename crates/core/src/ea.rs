@@ -32,6 +32,7 @@ use ashn_gates::invariants::{makhlin4, makhlin_from_coords};
 use ashn_gates::kak::weyl_coordinates4;
 use ashn_gates::weyl::WeylPoint;
 use ashn_math::neldermead::{nelder_mead, NmOptions};
+use ashn_math::splitmix::{mix64, unit_f64};
 use std::f64::consts::PI;
 
 /// Error from the EA solver.
@@ -192,21 +193,6 @@ pub struct EaSearch {
     pub deadline: Option<std::time::Instant>,
 }
 
-/// SplitMix64 finalizer driving the escalation-round jitter.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` from a 64-bit word (top 53 bits).
-#[inline]
-fn unit_f64(word: u64) -> f64 {
-    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// [`ashn_ea_multistart`] generalized with escalation rounds and a
 /// wall-clock deadline (see [`EaSearch`]). Carries the
 /// `core::ea::convergence` failpoint, which fails the search as
@@ -310,12 +296,7 @@ pub fn ashn_ea_search(
     // deadline is only consulted between waves, so a `None` deadline (the
     // default, and every pre-existing caller) never reads the clock and
     // results stay a pure function of the inputs.
-    let wave = if workers == 0 {
-        crate::par::default_workers()
-    } else {
-        workers
-    }
-    .max(1);
+    let wave = crate::par::resolve_workers(workers);
     let expired = || {
         search
             .deadline

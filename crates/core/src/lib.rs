@@ -31,7 +31,13 @@ pub mod fault {
 pub mod ea;
 pub mod hamiltonian;
 pub mod nd;
-pub mod par;
+/// The deterministic worker pool (see [`ashn_math::par`]): it lives in
+/// `ashn-math` so `ashn_sim::BatchRunner` runs on the same pool, and
+/// `ashn_core::par` keeps the path the EA multistart and `CompileService`
+/// use.
+pub mod par {
+    pub use ashn_math::par::*;
+}
 pub mod regions;
 pub mod scheme;
 pub mod verify;

@@ -388,21 +388,4 @@ mod tests {
         let back = crate::expm::expm_i_hermitian(&h, 1.0);
         assert!(back.dist(&u) < 1e-8);
     }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn eig_failpoint_fails_once_then_recovers() {
-        use crate::fault::{self, FaultMode};
-        let _guard = fault::exclusive();
-        fault::reset();
-        fault::configure("math::eig::unitary", FaultMode::OnNth(1));
-        let mut rng = StdRng::seed_from_u64(31);
-        let w = haar_unitary(4, &mut rng);
-        assert!(matches!(
-            try_eig_unitary(&w),
-            Err(EigError::NotNormal { .. })
-        ));
-        assert!(try_eig_unitary(&w).is_ok(), "site must fire only once");
-        fault::reset();
-    }
 }

@@ -17,6 +17,7 @@
 //! registry; `ashn_core::fault` re-exports it under the name the rest of
 //! the workspace uses.
 
+use crate::splitmix::{mix64, unit_f64};
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -50,21 +51,6 @@ fn lock_registry() -> MutexGuard<'static, HashMap<String, SiteState>> {
     // A panic while holding the lock (never expected — the critical sections
     // below are panic-free) must not wedge every later chaos test.
     registry().lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// SplitMix64 finalizer, same mixer as `ashn_sim::BatchRunner` seeds.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Uniform in `[0, 1)` from a 64-bit word (top 53 bits).
-#[inline]
-fn unit_f64(word: u64) -> f64 {
-    (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Arms the failpoint `name` with `mode`, resetting its call/fire counters.

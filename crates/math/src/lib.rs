@@ -3,6 +3,9 @@
 //! Self-contained numerical substrate for the AshN reproduction: complex
 //! scalars, dense complex matrices, Hermitian/unitary eigendecompositions,
 //! SVD/polar factorisations, Haar-random sampling, and small optimisers.
+//! It also hosts what every layer above shares: the one deterministic
+//! worker pool ([`par`]), the SplitMix64 mixer ([`splitmix`]), and the
+//! failpoint registry ([`fault`]).
 //!
 //! The crate deliberately avoids external linear-algebra dependencies; every
 //! routine is tailored to the ≤ 64×64 unitaries that quantum two-, three-,
@@ -28,10 +31,12 @@ pub mod expm;
 pub mod fault;
 pub mod mat;
 pub mod neldermead;
+pub mod par;
 pub mod randmat;
 pub mod roots;
 pub mod smat;
 pub mod special;
+pub mod splitmix;
 pub mod svd;
 
 pub use complex::{c, Complex};

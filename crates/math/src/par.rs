@@ -1,11 +1,22 @@
-//! Deterministic scoped-thread parallelism for the numerical searches.
+//! The workspace's one deterministic worker pool.
 //!
-//! Same pattern as `ashn_sim::BatchRunner` (scoped workers pulling indexed
-//! jobs from a shared counter, results returned in job order), minus the
-//! per-job RNG streams the pulse searches do not need. Because results come
-//! back in index order and every job is a pure function of its index, the
-//! output is bit-identical for any worker count — the property the EA
-//! multistart determinism suite pins down.
+//! Scoped workers pull indexed jobs from a shared counter and results come
+//! back in index order, so whenever every job is a pure function of its
+//! index the output is bit-identical for any worker count. Every parallel
+//! fan-out in the stack runs here: the EA multistart and `CompileService`
+//! through `ashn_core::par` (a re-export of this module), and the
+//! trajectory ensembles, `ashn-qv` experiments and paper-figure bins
+//! through `ashn_sim::BatchRunner`, which only adds per-job seeded RNG
+//! streams on top of [`parallel_map`].
+//!
+//! **Zero workers means "use the default"** ([`default_workers`], which
+//! honors `ASHN_WORKERS`). This is the canonical statement of the
+//! convention: `BatchRunner::with_workers`, the bench binaries' `--workers
+//! 0` flag, the batched experiment and trajectory APIs and
+//! `CompileService::workers` all defer here rather than restating it.
+//!
+//! Every job runs under the `core::par::task` failpoint, and each batch
+//! adds its job count to the `core.par.jobs` telemetry counter.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -13,10 +24,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// The default worker count: the `ASHN_WORKERS` environment variable when
-/// set to a positive integer, otherwise one per available hardware thread
-/// (`0`, unset, or unparsable mean the hardware default — the same
-/// convention as `ashn_sim::batch::default_workers`, so the service pool
-/// and the simulation stack honor constrained CI runners consistently).
+/// set to a positive integer, otherwise one per available hardware thread.
+///
+/// `ASHN_WORKERS=0`, unset, or unparsable all mean the hardware default.
+/// Constrained CI runners export the variable once instead of threading
+/// `--workers` through every binary.
 pub fn default_workers() -> usize {
     let configured = std::env::var("ASHN_WORKERS")
         .ok()
@@ -29,11 +41,24 @@ pub fn default_workers() -> usize {
     }
 }
 
-/// Maps `f` over `0..n` with up to `workers` scoped threads, returning
-/// results in index order. `workers == 0` defers to [`default_workers`]
-/// (the zero-means-default convention `ashn_sim::BatchRunner::with_workers`
-/// states canonically); one worker (or one job) runs inline with no thread
-/// spawned.
+/// The worker count a request of `workers` runs on: `workers` itself, or
+/// [`default_workers`] for `0`.
+pub fn resolve_workers(workers: usize) -> usize {
+    if workers == 0 {
+        default_workers()
+    } else {
+        workers
+    }
+}
+
+/// Maps `f` over `0..n` with up to `workers` scoped threads (`0` =
+/// [`default_workers`]), returning results in index order. One worker (or
+/// one job) runs inline with no thread spawned.
+///
+/// A panicking job does not kill the batch mid-flight: every other job
+/// still runs to completion, then the panic with the *lowest index* is
+/// re-raised — independent of scheduling, so the observable behavior
+/// matches serial execution.
 pub fn parallel_map<T, F>(workers: usize, n: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -65,18 +90,16 @@ where
 pub struct TaskPanic {
     /// Index of the job that panicked.
     pub index: usize,
-    /// The panic message, when it was a `&str`/`String` payload.
+    /// The panic message, as rendered by [`describe_panic`].
     pub detail: String,
 }
 
 /// [`parallel_map`] with per-job panic isolation: a panicking job yields
 /// `Err(TaskPanic)` at its own index instead of tearing down the batch, and
 /// every surviving job's result is bit-identical to what [`parallel_map`]
-/// would have produced. This is the worker-pool boundary the compile
-/// service builds its "one bad target never kills a batch" guarantee on.
-///
-/// Carries the `core::par::task` failpoint, which injects a panic into the
-/// body of each elected job.
+/// would have produced. This is the workspace's one isolating boundary;
+/// the compile service builds its "one bad target never kills a batch"
+/// guarantee on it.
 pub fn parallel_map_isolated<T, F>(workers: usize, n: usize, f: F) -> Vec<Result<T, TaskPanic>>
 where
     T: Send,
@@ -99,7 +122,9 @@ struct Caught {
     detail: String,
 }
 
-fn describe_panic(payload: &(dyn Any + Send)) -> String {
+/// The message of a caught panic payload: the `&str` or `String` it
+/// carries, else a fixed placeholder.
+pub fn describe_panic(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -119,7 +144,7 @@ where
 {
     let run_one = |i: usize| -> Result<T, Caught> {
         catch_unwind(AssertUnwindSafe(|| {
-            if ashn_math::failpoint!("core::par::task") {
+            if crate::failpoint!("core::par::task") {
                 panic!("injected fault: core::par::task (job {i})");
             }
             f(i)
@@ -129,12 +154,7 @@ where
             Caught { payload, detail }
         })
     };
-    let workers = if workers == 0 {
-        default_workers()
-    } else {
-        workers
-    }
-    .min(n.max(1));
+    let workers = resolve_workers(workers).min(n.max(1));
     if n > 0 {
         // One bulk add per batch, not per job — hot-loop overhead stays nil.
         ashn_telemetry::current().add("core.par.jobs", n as u64);
@@ -253,24 +273,5 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert_eq!(msg, "die 2", "must re-raise the lowest-indexed panic");
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn task_failpoint_injects_isolated_panics() {
-        use crate::fault::{self, FaultMode};
-        let _guard = fault::exclusive();
-        fault::reset();
-        fault::configure("core::par::task", FaultMode::OnNth(3));
-        // Serial execution so call order is the job order.
-        let out = parallel_map_isolated(1, 5, |i| i);
-        fault::reset();
-        assert!(out[2].is_err(), "third task must be hit");
-        assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1);
-        assert!(out[2]
-            .as_ref()
-            .unwrap_err()
-            .detail
-            .contains("core::par::task"));
     }
 }

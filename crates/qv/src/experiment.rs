@@ -344,7 +344,7 @@ pub fn mean_hop_sweep(
 }
 
 /// [`mean_hop`] with an explicit master seed and worker count
-/// (`workers` follows the [`BatchRunner::with_workers`] zero-means-default
+/// (`workers` follows the [`ashn_math::par`] zero-means-default
 /// convention): circuit `i` is sampled from
 /// the [`BatchRunner`] stream for job `i`, so the estimate is bit-identical
 /// for any worker count — the reproducibility contract of the batched

@@ -11,9 +11,9 @@
 //!   any corruption instead of failing.
 //! - [`CompileService`]: the batch engine. A batch of circuits (or raw
 //!   `SU(4)` targets) is canonicalized to quantized Weyl classes,
-//!   deduplicated *batch-wide* before any EA search runs, solved on a
-//!   deterministic scoped-thread worker pool, and served per request by
-//!   re-dressing the class solutions. Batch output is bit-identical at
+//!   deduplicated *batch-wide* before any EA search runs, solved on the
+//!   workspace's one deterministic worker pool (`ashn_core::par`), and
+//!   served per request by re-dressing the class solutions. Batch output is bit-identical at
 //!   any worker count.
 //! - The facade: `ashn::Compiler` keeps its memo store in a
 //!   [`ShardedCache`] (a private one-shard cache by default), and

@@ -35,7 +35,7 @@
 
 use crate::error::ServiceError;
 use crate::sharded::ShardedCache;
-use ashn_core::par::{parallel_map_isolated, TaskPanic};
+use ashn_core::par::{describe_panic, parallel_map_isolated, resolve_workers, TaskPanic};
 use ashn_gates::kak::weyl_coordinates4;
 use ashn_gates::weyl::WeylPoint;
 use ashn_ir::{Basis, Circuit};
@@ -54,19 +54,20 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Resilience knobs for a [`CompileService`]: retry/deadline policy for
-/// cold synthesis, the exact-CNOT degradation tier, and the post-serve
-/// verification tier.
+/// cold synthesis and the post-serve verification tier. Behind both sits
+/// the exact-CNOT degradation tier, which is always on and lives only
+/// here: a target whose synthesis, verification, or serve fails is
+/// degraded per target, never cached.
 ///
-/// The default — one attempt, no deadline, fallback on, verification at
-/// `1e-3` — leaves the fault-free pipeline bit-identical to a service
-/// without resilience: verification only *reads* served circuits, the
-/// fallback only engages on failure, and retries never run when the first
-/// attempt succeeds.
+/// The default — one attempt, no deadline, verification at `1e-3` —
+/// leaves the fault-free pipeline bit-identical to a service without
+/// resilience: verification only *reads* served circuits, degradation
+/// only engages on failure, and retries never run when the first attempt
+/// succeeds.
 #[derive(Clone, Copy, Debug)]
 pub struct Resilience {
-    /// Retry/deadline/fallback policy applied to every cold synthesis and
-    /// quarantine resynthesis. `retry.fallback` also gates the service's
-    /// per-target CNOT degradation tier.
+    /// Retry/deadline policy applied to every cold synthesis and
+    /// quarantine resynthesis.
     pub retry: RetryPolicy,
     /// Verify every served circuit against its target at this Frobenius
     /// tolerance; a failing cache entry is quarantined (evicted + counted)
@@ -328,14 +329,6 @@ struct Served {
     result: Result<Circuit, ServiceError>,
 }
 
-fn describe_panic(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
 /// The batched compile server: a shared [`ShardedCache`], a basis, and a
 /// worker count.
 #[derive(Clone, Debug)]
@@ -395,8 +388,9 @@ impl<B: Basis + Sync> CompileService<B> {
         &self.resilience
     }
 
-    /// Fans batches over `workers` scoped threads (`0` = one per hardware
-    /// thread). Batch output is bit-identical for every worker count.
+    /// Fans batches over `workers` scoped threads (`0` = the pool's
+    /// [`default_workers`](ashn_core::par::default_workers)). Batch output
+    /// is bit-identical for every worker count.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -544,13 +538,13 @@ impl<B: Basis + Sync> CompileService<B> {
         );
 
         // Phase 4: cold synthesis of the representatives over the worker
-        // pool, panic-isolated and driven by the retry policy. The fallback
-        // tier is disabled here on purpose: a degraded CNOT circuit must
-        // never be cached (or served to other targets) under the requested
-        // basis's class key — degradation happens per target at serve time.
-        // Each job is a pure function of its target and the (fixed) policy,
-        // so results are bit-identical at any worker count.
-        let cold_policy = self.resilience.retry.with_fallback(false);
+        // pool, panic-isolated and driven by the retry policy. A failure
+        // stays a failure here: a degraded CNOT circuit must never be
+        // cached (or served to other targets) under the requested basis's
+        // class key — degradation happens per target at serve time. Each
+        // job is a pure function of its target and the (fixed) policy, so
+        // results are bit-identical at any worker count.
+        let cold_policy = &self.resilience.retry;
         let cold_span = telemetry.span("service.cold_synth");
         // A cold job resolves to (entry, attempts) or a rendered failure;
         // the outer layer is the task-boundary panic isolation.
@@ -558,7 +552,7 @@ impl<B: Basis + Sync> CompileService<B> {
         let solved: Vec<Result<ColdOutcome, TaskPanic>> =
             parallel_map_isolated(self.workers, cold.len(), |j| {
                 let rep = unique[cold[j]].rep;
-                let outcome = synthesize_resilient(&self.basis, targets[rep], &cold_policy)
+                let outcome = synthesize_resilient(&self.basis, targets[rep], cold_policy)
                     .map_err(|e| e.to_string())?;
                 let core = TwoQubitCircuit::try_from(outcome.circuit)
                     .map_err(|e| format!("synthesis output not a two-qubit circuit: {e}"))?;
@@ -723,11 +717,7 @@ impl<B: Basis + Sync> CompileService<B> {
     ) -> (Tier, Result<Circuit, ServiceError>) {
         self.cache.evict(key);
         acct.quarantined += 1;
-        match synthesize_resilient(
-            &self.basis,
-            target,
-            &self.resilience.retry.with_fallback(false),
-        ) {
+        match synthesize_resilient(&self.basis, target, &self.resilience.retry) {
             Ok(out) => {
                 acct.retries += u64::from(out.attempts.saturating_sub(1));
                 if let Some(tol) = self.resilience.verify_tol {
@@ -751,13 +741,9 @@ impl<B: Basis + Sync> CompileService<B> {
     }
 
     /// The last tier: an exact CNOT-basis decomposition, verified at
-    /// `1e-9` inside [`try_decompose_cnot`]. Disabled (surfacing `err`)
-    /// when the policy turns the fallback off or the target is itself
-    /// invalid.
+    /// `1e-9` inside [`try_decompose_cnot`]. Surfaces `err` when the target
+    /// is itself invalid.
     fn degrade(&self, target: &CMat, err: ServiceError) -> (Tier, Result<Circuit, ServiceError>) {
-        if !self.resilience.retry.fallback {
-            return (Tier::Failed, Err(err));
-        }
         match try_decompose_cnot(target) {
             Ok(circuit) => (Tier::Degraded, Ok(circuit.into())),
             Err(_) => (Tier::Failed, Err(err)),
@@ -886,7 +872,7 @@ impl<B: Basis + Sync> CompileService<B> {
         let mut stats = ServiceStats {
             requests,
             targets: targets.len(),
-            workers: self.workers,
+            workers: resolve_workers(self.workers),
             retries: prepared.retries,
             worker_panics: prepared.panics,
             ..ServiceStats::default()

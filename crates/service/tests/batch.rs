@@ -60,6 +60,16 @@ fn batch_output_is_bit_identical_across_worker_counts() {
     assert_eq!(runs[0], runs[2], "1 worker vs 16 workers diverged");
 }
 
+/// `workers(0)` means the pool's default, and the stats report the count
+/// the pool actually ran, not the raw setting.
+#[test]
+fn zero_workers_report_the_pool_default() {
+    let service = CompileService::new(ExactBasis).workers(0);
+    let batch = service.synthesize_batch(&target_pool(2, 2, 0x5eed));
+    assert_eq!(batch.stats.workers, ashn_core::par::default_workers());
+    assert!(batch.circuits.iter().all(Result::is_ok));
+}
+
 #[test]
 fn batch_dedup_and_tiers_account_for_every_target() {
     let targets = target_pool(3, 6, 0xfeed);

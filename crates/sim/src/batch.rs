@@ -1,48 +1,20 @@
 //! Deterministic parallel batch execution for trajectory/circuit ensembles.
 //!
-//! [`BatchRunner`] fans indexed jobs across `std::thread::scope` workers.
-//! Each job gets its own RNG stream derived from the master seed and the
-//! job index alone, so results are bit-identical for any worker count —
-//! the property the determinism suite in `crates/sim/tests/determinism.rs`
-//! and the quantum-volume tests pin down.
+//! [`BatchRunner`] is a seeded front end over the workspace's one worker
+//! pool, [`ashn_math::par::parallel_map`]: each job gets its own RNG stream
+//! derived from the master seed and the job index alone, so results are
+//! bit-identical for any worker count — the property the determinism suite
+//! in `crates/sim/tests/determinism.rs` and the quantum-volume tests pin
+//! down. Scheduling, panic propagation, the `core::par::task` failpoint
+//! and the `core.par.jobs` counter all belong to the pool.
 
+use ashn_math::par::{default_workers, parallel_map, resolve_workers};
+use ashn_math::splitmix::mix64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
-/// SplitMix64 finalizer: a high-quality 64-bit mixing function.
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// The default worker count: the `ASHN_WORKERS` environment variable when
-/// set to a positive integer, otherwise one per available hardware thread.
-///
-/// `ASHN_WORKERS=0`, unset, or unparsable all mean the hardware default —
-/// the same zero-means-default convention as
-/// [`BatchRunner::with_workers`]. Constrained CI runners export the
-/// variable once instead of threading `--workers` through every binary.
-pub fn default_workers() -> usize {
-    let configured = std::env::var("ASHN_WORKERS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok());
-    match configured {
-        Some(w) if w > 0 => w,
-        _ => std::thread::available_parallelism()
-            .map(|v| v.get())
-            .unwrap_or(1),
-    }
-}
-
-/// Fans indexed jobs across scoped worker threads with per-job
-/// deterministic RNG streams.
+/// Fans indexed jobs across the worker pool with per-job deterministic
+/// RNG streams.
 ///
 /// # Examples
 ///
@@ -74,20 +46,12 @@ impl BatchRunner {
         }
     }
 
-    /// Overrides the worker count (results do not depend on it).
-    ///
-    /// **Zero means "use the default"** ([`default_workers`], which honors
-    /// `ASHN_WORKERS`). This is the canonical statement of the convention:
-    /// the bench binaries' `--workers 0` flag, the batched experiment and
-    /// trajectory APIs, and `ashn_core::par::parallel_map` all defer here
-    /// rather than restating it.
+    /// Overrides the worker count (results do not depend on it); `0`
+    /// means [`default_workers`], as everywhere on the pool
+    /// ([`ashn_math::par`]).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = if workers == 0 {
-            default_workers()
-        } else {
-            workers
-        };
+        self.workers = resolve_workers(workers);
         self
     }
 
@@ -109,132 +73,16 @@ impl BatchRunner {
     /// A panicking job does not kill the batch mid-flight: every other job
     /// still runs to completion, then the panic with the *lowest job index*
     /// is re-raised — independent of scheduling, so the observable behavior
-    /// matches serial execution. Use [`BatchRunner::try_run`] to keep the
-    /// surviving results instead.
+    /// matches serial execution.
     pub fn run<T, F>(&self, n_jobs: usize, job: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, &mut StdRng) -> T + Sync,
     {
-        let mut first_panic = None;
-        let results: Vec<Option<T>> = self
-            .run_caught(n_jobs, job)
-            .into_iter()
-            .map(|r| match r {
-                Ok(t) => Some(t),
-                Err(caught) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(caught.payload);
-                    }
-                    None
-                }
-            })
-            .collect();
-        if let Some(payload) = first_panic {
-            resume_unwind(payload);
-        }
-        results.into_iter().map(|t| t.expect("no panics")).collect()
+        parallel_map(self.workers, n_jobs, |i| {
+            job(i, &mut StdRng::seed_from_u64(self.job_seed(i)))
+        })
     }
-
-    /// [`BatchRunner::run`] with per-job panic isolation: a job that panics
-    /// yields `Err(JobPanic)` at its index while every other job's result
-    /// is returned untouched (in job order, bit-identical to a run without
-    /// the panicking jobs).
-    pub fn try_run<T, F>(&self, n_jobs: usize, job: F) -> Vec<Result<T, JobPanic>>
-    where
-        T: Send,
-        F: Fn(usize, &mut StdRng) -> T + Sync,
-    {
-        self.run_caught(n_jobs, job)
-            .into_iter()
-            .enumerate()
-            .map(|(index, r)| {
-                r.map_err(|caught| JobPanic {
-                    index,
-                    detail: caught.detail,
-                })
-            })
-            .collect()
-    }
-
-    fn run_caught<T, F>(&self, n_jobs: usize, job: F) -> Vec<Result<T, Caught>>
-    where
-        T: Send,
-        F: Fn(usize, &mut StdRng) -> T + Sync,
-    {
-        let run_one = |i: usize| -> Result<T, Caught> {
-            catch_unwind(AssertUnwindSafe(|| {
-                if ashn_math::failpoint!("sim::batch::job") {
-                    panic!("injected fault: sim::batch::job (job {i})");
-                }
-                job(i, &mut StdRng::seed_from_u64(self.job_seed(i)))
-            }))
-            .map_err(|payload| {
-                let detail = describe_panic(payload.as_ref());
-                Caught { payload, detail }
-            })
-        };
-        let workers = self.workers.min(n_jobs.max(1));
-        if n_jobs > 0 {
-            // Bulk per-batch accounting — one add regardless of job count.
-            ashn_telemetry::current().add("sim.batch.jobs", n_jobs as u64);
-        }
-        if workers <= 1 || n_jobs <= 1 {
-            return (0..n_jobs).map(run_one).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, Result<T, Caught>)>> =
-            Mutex::new(Vec::with_capacity(n_jobs));
-        // Workers inherit the spawning thread's current telemetry registry.
-        let telemetry = ashn_telemetry::current();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let _telemetry = ashn_telemetry::install(&telemetry);
-                    let mut local: Vec<(usize, Result<T, Caught>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_jobs {
-                            break;
-                        }
-                        local.push((i, run_one(i)));
-                    }
-                    collected
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .extend(local);
-                });
-            }
-        });
-        let mut results = collected
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        results.sort_by_key(|(i, _)| *i);
-        debug_assert_eq!(results.len(), n_jobs);
-        results.into_iter().map(|(_, t)| t).collect()
-    }
-}
-
-/// A job that panicked inside [`BatchRunner::try_run`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Index of the job whose closure panicked.
-    pub index: usize,
-    /// The panic message when it was a string, else a placeholder.
-    pub detail: String,
-}
-
-struct Caught {
-    payload: Box<dyn Any + Send>,
-    detail: String,
-}
-
-fn describe_panic(payload: &(dyn Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]
@@ -280,29 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn try_run_isolates_panics_in_place() {
-        let out = BatchRunner::new(11).with_workers(4).try_run(16, |i, rng| {
-            if i % 5 == 3 {
-                panic!("job {i} failed");
-            }
-            (i, rng.gen::<u64>())
-        });
-        let reference = BatchRunner::new(11)
-            .with_workers(1)
-            .run(16, |i, rng| (i, rng.gen::<u64>()));
-        for (i, r) in out.iter().enumerate() {
-            if i % 5 == 3 {
-                let p = r.as_ref().unwrap_err();
-                assert_eq!(p.index, i);
-                assert_eq!(p.detail, format!("job {i} failed"));
-            } else {
-                // Survivors are bit-identical to an all-success run.
-                assert_eq!(r.as_ref().unwrap(), &reference[i]);
-            }
-        }
-    }
-
-    #[test]
     fn run_repropagates_the_lowest_indexed_panic() {
         let caught = std::panic::catch_unwind(|| {
             BatchRunner::new(1).with_workers(4).run(16, |i, _| {
@@ -315,32 +140,6 @@ mod tests {
         let payload = caught.unwrap_err();
         let msg = payload.downcast_ref::<String>().cloned().unwrap();
         assert_eq!(msg, "die 6");
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn job_failpoint_injects_isolated_panics() {
-        use ashn_math::fault::{self, FaultMode};
-        let _guard = fault::exclusive();
-        fault::reset();
-        fault::configure("sim::batch::job", FaultMode::EveryNth(4));
-        // One worker: jobs run in index order, so calls 4 and 8 are jobs 3
-        // and 7.
-        let out = BatchRunner::new(7).with_workers(1).try_run(8, |i, _| i);
-        fault::reset();
-        for (i, r) in out.iter().enumerate() {
-            if i == 3 || i == 7 {
-                let p = r.as_ref().unwrap_err();
-                assert_eq!(p.index, i);
-                assert!(
-                    p.detail.contains("injected fault: sim::batch::job"),
-                    "detail: {}",
-                    p.detail
-                );
-            } else {
-                assert_eq!(r.as_ref().unwrap(), &i);
-            }
-        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// request of any size still runs scalar below the register threshold
 /// ([`ChunkPolicy::MIN_PARALLEL_QUBITS`]), because thread-spawn overhead
 /// would swamp the kernels. `0` requested workers means the machine
-/// default ([`crate::batch::default_workers`], which honors the
+/// default ([`ashn_math::par::default_workers`], which honors the
 /// `ASHN_WORKERS` environment override).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChunkPolicy {
@@ -89,10 +89,7 @@ impl ChunkPolicy {
         if n < Self::MIN_PARALLEL_QUBITS {
             return 1;
         }
-        match self.workers {
-            0 => crate::batch::default_workers(),
-            w => w,
-        }
+        ashn_math::par::resolve_workers(self.workers)
     }
 }
 

@@ -50,7 +50,7 @@ pub mod plan;
 pub mod state;
 pub mod trajectory;
 
-pub use batch::{BatchRunner, JobPanic};
+pub use batch::BatchRunner;
 pub use chunk::ChunkPolicy;
 pub use circuit::{Circuit, Instruction, NoiseModel, Simulate};
 pub use density::DensityMatrix;

@@ -66,7 +66,7 @@ fn trajectory_chunks(n_traj: usize) -> usize {
 
 /// Estimates outcome probabilities by averaging `n_traj` trajectories,
 /// fanned across [`BatchRunner`] workers (`workers` follows the
-/// [`BatchRunner::with_workers`] zero-means-default convention). The
+/// [`ashn_math::par`] zero-means-default convention). The
 /// ensemble is split into fixed-size chunks with per-chunk
 /// RNG streams derived from `master_seed`, so the estimate is bit-identical
 /// for any worker count.

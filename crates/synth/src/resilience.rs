@@ -1,25 +1,25 @@
-//! Retry, deadline, and graceful degradation for synthesis on any
-//! [`Basis`]: the synthesis-side half of the service resilience story.
+//! Retry and deadline budgets for synthesis on any [`Basis`]: the
+//! synthesis-side half of the service resilience story.
 //!
 //! [`synthesize_resilient`] drives a basis through an escalating retry
 //! schedule (each attempt widens the EA multistart with a deterministically
-//! derived jitter seed), enforces a per-request deadline budget, converts
-//! panics escaping the basis into [`SynthError::WorkerPanic`], and — when
-//! everything else fails on a valid two-qubit target — degrades to the
-//! always-correct exact CNOT-basis decomposition, tagging the result so
-//! callers can surface it.
+//! derived jitter seed), enforces a per-request deadline budget, and
+//! converts panics escaping the basis into [`SynthError::WorkerPanic`].
+//! When every attempt fails it surfaces the last error: degradation to the
+//! exact CNOT tier belongs to the compile service alone, which degrades per
+//! target after verification.
 
-use crate::cnot_basis::try_decompose_cnot;
 use ashn_ir::{Basis, Circuit, SynthEffort, SynthError};
+use ashn_math::par::describe_panic;
+use ashn_math::splitmix::mix64;
 use ashn_math::CMat;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
-/// How hard to try before giving up (or degrading).
+/// How hard to try before giving up.
 ///
-/// The default policy — one attempt, no deadline, fallback enabled — makes
-/// [`synthesize_resilient`] behave exactly like `basis.synthesize(u)` on
-/// success, with the CNOT fallback engaged only on failure.
+/// The default policy — one attempt, no deadline — makes
+/// [`synthesize_resilient`] behave exactly like `basis.synthesize(u)`.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
     /// Total synthesis attempts (≥ 1). Attempt `k` (0-based) runs with
@@ -32,9 +32,6 @@ pub struct RetryPolicy {
     /// Base seed for the per-attempt jitter streams. Two calls with equal
     /// seeds replay the same retry schedule exactly.
     pub retry_seed: u64,
-    /// Degrade to the exact CNOT-basis decomposition when every attempt
-    /// fails (valid 4×4 targets only).
-    pub fallback: bool,
 }
 
 impl Default for RetryPolicy {
@@ -43,7 +40,6 @@ impl Default for RetryPolicy {
             max_attempts: 1,
             deadline: None,
             retry_seed: 0,
-            fallback: true,
         }
     }
 }
@@ -69,13 +65,6 @@ impl RetryPolicy {
         self.retry_seed = retry_seed;
         self
     }
-
-    /// Policy with the CNOT degradation tier enabled or disabled.
-    #[must_use]
-    pub fn with_fallback(mut self, fallback: bool) -> Self {
-        self.fallback = fallback;
-        self
-    }
 }
 
 /// A successful resilient synthesis, with provenance.
@@ -85,28 +74,9 @@ pub struct ResilientOutcome {
     pub circuit: Circuit,
     /// Attempts consumed (1 = first try succeeded).
     pub attempts: u32,
-    /// `Some(reason)` when the circuit came from the CNOT degradation tier
-    /// instead of the requested basis; the reason is the last basis error.
-    pub degraded: Option<String>,
 }
 
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
-/// Synthesizes `u` with retries, a deadline budget, panic containment, and
-/// (optionally) graceful degradation to the exact CNOT tier.
+/// Synthesizes `u` with retries, a deadline budget, and panic containment.
 ///
 /// Retry attempt `k` calls
 /// [`Basis::synthesize_with_effort`] with `attempt = k` and a jitter seed
@@ -118,9 +88,9 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 ///
 /// # Errors
 ///
-/// The last basis error when all attempts fail and the fallback is
-/// disabled, rejected (invalid target), or itself fails;
-/// [`SynthError::DeadlineExceeded`] when the budget expired first.
+/// The last basis error when all attempts fail or the target is rejected
+/// as invalid; [`SynthError::DeadlineExceeded`] when the budget expired
+/// first.
 pub fn synthesize_resilient<B: Basis + ?Sized>(
     basis: &B,
     u: &CMat,
@@ -129,7 +99,6 @@ pub fn synthesize_resilient<B: Basis + ?Sized>(
     let telemetry = ashn_telemetry::current();
     let deadline = policy.deadline.map(|d| Instant::now() + d);
     let max_attempts = policy.max_attempts.max(1);
-    let mut attempts = 0u32;
     let mut last_err = None;
     for attempt in 0..max_attempts {
         if let Some(d) = deadline {
@@ -141,7 +110,6 @@ pub fn synthesize_resilient<B: Basis + ?Sized>(
                 break;
             }
         }
-        attempts = attempt + 1;
         let effort = SynthEffort {
             attempt,
             jitter_seed: mix64(policy.retry_seed ^ u64::from(attempt)),
@@ -155,15 +123,11 @@ pub fn synthesize_resilient<B: Basis + ?Sized>(
             Ok(Ok(circuit)) => {
                 return Ok(ResilientOutcome {
                     circuit,
-                    attempts,
-                    degraded: None,
+                    attempts: attempt + 1,
                 });
             }
-            Ok(Err(e @ SynthError::InvalidTarget { .. })) => {
-                // Retrying cannot fix a malformed target, and the fallback
-                // would reject it too.
-                return Err(e);
-            }
+            // Retrying cannot fix a malformed target.
+            Ok(Err(e @ SynthError::InvalidTarget { .. })) => return Err(e),
             Ok(Err(e @ SynthError::DeadlineExceeded { .. })) => {
                 last_err = Some(e);
                 break;
@@ -172,31 +136,15 @@ pub fn synthesize_resilient<B: Basis + ?Sized>(
             Err(payload) => {
                 telemetry.add("synth.resilience.panics_caught", 1);
                 last_err = Some(SynthError::WorkerPanic {
-                    detail: panic_detail(payload.as_ref()),
+                    detail: describe_panic(payload.as_ref()),
                 });
             }
         }
     }
-    let err = last_err.unwrap_or_else(|| SynthError::Convergence {
+    Err(last_err.unwrap_or_else(|| SynthError::Convergence {
         basis: basis.name(),
         detail: "no synthesis attempt ran".into(),
-    });
-    if !policy.fallback {
-        return Err(err);
-    }
-    match try_decompose_cnot(u) {
-        Ok(circuit) => {
-            telemetry.add("synth.resilience.degraded", 1);
-            Ok(ResilientOutcome {
-                circuit: circuit.into(),
-                attempts,
-                degraded: Some(err.to_string()),
-            })
-        }
-        // The original basis error explains the failure better than the
-        // fallback's rejection of the same target.
-        Err(_) => Err(err),
-    }
+    }))
 }
 
 #[cfg(test)]
@@ -260,7 +208,6 @@ mod tests {
         let direct = CnotBasis.synthesize(&u).unwrap();
         let out = synthesize_resilient(&CnotBasis, &u, &RetryPolicy::default()).unwrap();
         assert_eq!(out.attempts, 1);
-        assert!(out.degraded.is_none());
         assert_eq!(format!("{:?}", out.circuit), format!("{direct:?}"));
     }
 
@@ -268,10 +215,9 @@ mod tests {
     fn transient_errors_are_retried_until_success() {
         let u = target();
         let flaky = Flaky::new(2, false);
-        let policy = RetryPolicy::default().with_attempts(4).with_fallback(false);
+        let policy = RetryPolicy::default().with_attempts(4);
         let out = synthesize_resilient(&flaky, &u, &policy).unwrap();
         assert_eq!(out.attempts, 3);
-        assert!(out.degraded.is_none());
         assert!(out.circuit.error(&u) < 1e-9);
     }
 
@@ -279,29 +225,17 @@ mod tests {
     fn panics_are_contained_and_retried() {
         let u = target();
         let flaky = Flaky::new(1, true);
-        let policy = RetryPolicy::default().with_attempts(2).with_fallback(false);
+        let policy = RetryPolicy::default().with_attempts(2);
         let out = synthesize_resilient(&flaky, &u, &policy).unwrap();
         assert_eq!(out.attempts, 2);
         assert!(out.circuit.error(&u) < 1e-9);
     }
 
     #[test]
-    fn exhausted_retries_degrade_to_a_verified_cnot_circuit() {
-        let u = target();
-        let always_broken = Flaky::new(u32::MAX, false);
-        let policy = RetryPolicy::default().with_attempts(3);
-        let out = synthesize_resilient(&always_broken, &u, &policy).unwrap();
-        assert_eq!(out.attempts, 3);
-        let reason = out.degraded.expect("must be tagged degraded");
-        assert!(reason.contains("transient failure"), "{reason}");
-        assert!(out.circuit.error(&u) < 1e-9);
-    }
-
-    #[test]
-    fn fallback_disabled_surfaces_the_last_error() {
+    fn exhausted_retries_surface_the_last_error() {
         let u = target();
         let always_broken = Flaky::new(u32::MAX, true);
-        let policy = RetryPolicy::default().with_attempts(2).with_fallback(false);
+        let policy = RetryPolicy::default().with_attempts(2);
         let err = synthesize_resilient(&always_broken, &u, &policy).unwrap_err();
         assert!(matches!(err, SynthError::WorkerPanic { .. }), "{err}");
     }
@@ -322,22 +256,9 @@ mod tests {
         let always_broken = Flaky::new(u32::MAX, false);
         let policy = RetryPolicy::default()
             .with_attempts(u32::MAX)
-            .with_deadline(Duration::ZERO)
-            .with_fallback(false);
+            .with_deadline(Duration::ZERO);
         let err = synthesize_resilient(&always_broken, &u, &policy).unwrap_err();
         assert!(matches!(err, SynthError::DeadlineExceeded { .. }), "{err}");
-    }
-
-    #[test]
-    fn deadline_expiry_still_degrades_when_fallback_is_on() {
-        let u = target();
-        let always_broken = Flaky::new(u32::MAX, false);
-        let policy = RetryPolicy::default()
-            .with_attempts(u32::MAX)
-            .with_deadline(Duration::ZERO);
-        let out = synthesize_resilient(&always_broken, &u, &policy).unwrap();
-        assert!(out.degraded.is_some());
-        assert!(out.circuit.error(&u) < 1e-9);
     }
 
     #[test]
