@@ -23,7 +23,7 @@
 //! Run `cargo bench -p ashn-bench --bench retarget` (add `--test` for
 //! the single-iteration CI smoke mode; `--targets N` scales the batch).
 
-use ashn_bench::Args;
+use ashn_bench::{bench_args, write_baseline};
 use ashn_gates::kak::weyl_coordinates;
 use ashn_gates::two::{cnot, cz, ecr, iswap, swap};
 use ashn_ir::Basis;
@@ -122,8 +122,7 @@ fn mixed_corpus(n: usize, seed: u64) -> (Vec<CMat>, usize) {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let args = Args::parse_lenient();
+    let (test_mode, args) = bench_args();
     let n_targets: usize = args.get("targets", if test_mode { 100 } else { 1000 });
     let seed: u64 = args.get("seed", 42);
     let (iters_numeric, iters_rule) = if test_mode { (60, 600) } else { (600, 30_000) };
@@ -248,15 +247,5 @@ fn main() {
         off.stats.cold_classes,
         off.stats.hit_rate(),
     );
-    // Anchor at the workspace root whatever the invocation CWD; smoke mode
-    // must not clobber the committed baseline.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_retarget.json");
-    if test_mode {
-        println!("\nsmoke mode: leaving {path} untouched");
-    } else {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("\nbaseline written to {path}"),
-            Err(e) => println!("\ncould not write {path}: {e}"),
-        }
-    }
+    write_baseline("retarget", &json, test_mode);
 }

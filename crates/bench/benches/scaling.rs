@@ -22,7 +22,7 @@
 //! for the single-iteration CI smoke mode, which sweeps a reduced size set
 //! and leaves the baseline untouched).
 
-use ashn_bench::Args;
+use ashn_bench::{bench_args, write_baseline};
 use ashn_math::randmat::haar_unitary;
 use ashn_math::{c, CMat, Complex};
 use ashn_sim::plan::ExecPlan;
@@ -111,8 +111,7 @@ struct Row {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let args = Args::parse_lenient();
+    let (test_mode, args) = bench_args();
     let seed: u64 = args.get("seed", 42);
     let sizes: Vec<usize> = if test_mode {
         vec![8, 12, 16]
@@ -265,16 +264,5 @@ fn main() {
          \"smoke\": {test_mode} }},\n  \"rows\": [\n{}\n  ]\n}}\n",
         json_rows.join(",\n")
     );
-    // Anchor at the workspace root whatever the invocation CWD. Smoke mode
-    // times single iterations, so it must not clobber the committed
-    // baseline.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
-    if test_mode {
-        println!("\nsmoke mode: leaving {path} untouched");
-    } else {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("\nbaseline written to {path}"),
-            Err(e) => println!("\ncould not write {path}: {e}"),
-        }
-    }
+    write_baseline("scaling", &json, test_mode);
 }

@@ -18,7 +18,7 @@
 //! same path twice exercises the disk-warm boot against a real file from
 //! a previous process).
 
-use ashn_bench::Args;
+use ashn_bench::{bench_args, write_baseline};
 use ashn_math::randmat::haar_unitary;
 use ashn_math::CMat;
 use ashn_service::{BatchResult, CompileService, ShardedCache};
@@ -81,8 +81,7 @@ fn service(workers: usize, cache: ShardedCache) -> CompileService<AshnBasis> {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let args = Args::parse_lenient();
+    let (test_mode, args) = bench_args();
     let n_targets: usize = args.get("targets", if test_mode { 60 } else { 1000 });
     let seed: u64 = args.get("seed", 42);
     let cache_path: String = args.get("cache", String::new());
@@ -203,16 +202,5 @@ fn main() {
         classes,
         results.join(",\n"),
     );
-    // Anchor at the workspace root whatever the invocation CWD. Smoke mode
-    // times single iterations, so it must not clobber the committed
-    // baseline.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    if test_mode {
-        println!("\nsmoke mode: leaving {path} untouched");
-    } else {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("\nbaseline written to {path}"),
-            Err(e) => println!("\ncould not write {path}: {e}"),
-        }
-    }
+    write_baseline("service", &json, test_mode);
 }

@@ -17,7 +17,7 @@
 //! the single-iteration CI smoke mode; `--targets N` scales the service
 //! corpus).
 
-use ashn_bench::Args;
+use ashn_bench::{bench_args, write_baseline};
 use ashn_ir::Circuit;
 use ashn_math::randmat::haar_unitary;
 use ashn_math::CMat;
@@ -107,8 +107,7 @@ fn calibrate(budget_ms: u128, mut f: impl FnMut()) -> u64 {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let args = Args::parse_lenient();
+    let (test_mode, args) = bench_args();
     let n_targets: usize = args.get("targets", if test_mode { 30 } else { 240 });
     let seed: u64 = args.get("seed", 42);
     let rounds = if test_mode { 1 } else { 7 };
@@ -206,13 +205,5 @@ fn main() {
         traj_off / 1e3,
         traj_ratio,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_telemetry.json");
-    if test_mode {
-        println!("\nsmoke mode: leaving {path} untouched");
-    } else {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("\nbaseline written to {path}"),
-            Err(e) => println!("\ncould not write {path}: {e}"),
-        }
-    }
+    write_baseline("telemetry", &json, test_mode);
 }

@@ -17,7 +17,7 @@
 //! Run `cargo bench -p ashn-bench --bench trajectory` (add `--test` for
 //! the single-iteration CI smoke mode; `--traj N` scales the ensemble).
 
-use ashn_bench::Args;
+use ashn_bench::{bench_args, write_baseline};
 use ashn_qv::{
     compile_model, resolve_rates, sample_model_circuit, score_compiled, score_compiled_many,
     stamp_noise, GateSet, QvNoise,
@@ -33,7 +33,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Mean ns/iter over a warmed-up timed batch (single iteration in `--test`
-/// smoke mode), criterion-compat style.
+/// smoke mode).
 fn time_ns(test_mode: bool, mut f: impl FnMut()) -> f64 {
     if test_mode {
         let start = Instant::now();
@@ -105,8 +105,7 @@ fn plan_ensemble(plan: &ExecPlan, n_traj: usize, master_seed: u64) -> Vec<f64> {
 }
 
 fn main() {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let args = Args::parse_lenient();
+    let (test_mode, args) = bench_args();
     let n_traj: usize = args.get("traj", if test_mode { 8 } else { 256 });
     let seed: u64 = args.get("seed", 42);
 
@@ -252,16 +251,5 @@ fn main() {
         cold_ns / 1e3,
         warm_ns / 1e3,
     );
-    // Anchor at the workspace root whatever the invocation CWD (cargo runs
-    // bench binaries from the package dir). Smoke mode times single
-    // iterations, so it must not clobber the committed baseline.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trajectory.json");
-    if test_mode {
-        println!("smoke mode: leaving {path} untouched");
-    } else {
-        match std::fs::write(path, &json) {
-            Ok(()) => println!("baseline written to {path}"),
-            Err(e) => println!("could not write {path}: {e}"),
-        }
-    }
+    write_baseline("trajectory", &json, test_mode);
 }

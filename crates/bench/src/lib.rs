@@ -16,6 +16,10 @@
 //!
 //! Run e.g. `cargo run --release -p ashn-bench --bin fig7 -- --circuits 50`.
 //! All binaries accept `--seed` and print deterministic tables by default.
+//!
+//! The five `benches/` binaries (`scaling`, `service`, `retarget`,
+//! `telemetry`, `trajectory`) each assert a gate and share [`bench_args`]
+//! and [`write_baseline`] for their command line and `BENCH_*.json` report.
 
 use std::collections::HashMap;
 
@@ -35,10 +39,11 @@ impl Args {
         Self::parse_argv(false)
     }
 
-    /// Like [`Args::parse`], but tolerates bare flags (e.g. the `--test`
-    /// smoke-mode switch criterion-style bench binaries receive): a `--key`
-    /// followed by another `--flag` (or nothing) is treated as a valueless
-    /// switch and skipped.
+    /// Like [`Args::parse`], but tolerates the bare flags `cargo bench`
+    /// passes to `harness = false` bench binaries (e.g. `--test` under
+    /// `cargo bench -- --test`): a `--key` followed by another `--flag` (or
+    /// nothing) is treated as a valueless switch and skipped. The benches
+    /// reach it through [`bench_args`].
     pub fn parse_lenient() -> Self {
         Self::parse_argv(true)
     }
@@ -77,6 +82,30 @@ impl Args {
             .get(key)
             .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --{key}: {e:?}")))
             .unwrap_or(default)
+    }
+}
+
+/// The command line of a bench binary: whether `--test` selected the
+/// single-iteration smoke mode, and the `--key value` options around it
+/// (parsed leniently, so bare flags are skipped).
+pub fn bench_args() -> (bool, Args) {
+    let smoke = std::env::args().any(|a| a == "--test");
+    (smoke, Args::parse_lenient())
+}
+
+/// Writes a bench's report to `BENCH_<name>.json` at the workspace root,
+/// whatever the invocation CWD (cargo runs bench binaries from the package
+/// dir). Smoke mode times single iterations, so it leaves the committed
+/// baseline untouched.
+pub fn write_baseline(name: &str, json: &str, smoke: bool) {
+    let path = format!("{}/../../BENCH_{name}.json", env!("CARGO_MANIFEST_DIR"));
+    if smoke {
+        println!("\nsmoke mode: leaving {path} untouched");
+    } else {
+        match std::fs::write(&path, json) {
+            Ok(()) => println!("\nbaseline written to {path}"),
+            Err(e) => println!("\ncould not write {path}: {e}"),
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Fully randomized benchmarking (FRB, paper refs [27, 30]): random
+//! Fully randomized benchmarking (FRB, paper refs \[27, 30\]): random
 //! sequences of Haar two-qubit gates, inverted ideally at the end; the
 //! survival probability decays exponentially in the sequence length with a
 //! rate set by the average gate error.

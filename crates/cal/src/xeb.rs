@@ -1,5 +1,5 @@
 //! Linear cross-entropy benchmarking (XEB) — the reconfigurable-gate-set
-//! characterisation scheme the paper's discussion points to (§7, ref [68]).
+//! characterisation scheme the paper's discussion points to (§7, ref \[68\]).
 //!
 //! Random two-qubit circuits alternate Haar single-qubit layers with the
 //! gate under test; sampling the noisy output and scoring bitstrings by the

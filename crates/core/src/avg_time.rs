@@ -25,7 +25,7 @@ pub fn gate_time_with_cutoff(p: WeylPoint, r: f64) -> f64 {
 pub const MEAN_OPTIMAL_TIME: f64 = 7.0 * PI / 16.0 - 19.0 / (180.0 * PI);
 
 /// Average two-qubit interaction time when compiling Haar-random gates from
-/// SQiSW (paper §6.1, after Huang et al. [30]): `≈ 1.736/g`, i.e. `1.29×`
+/// SQiSW (paper §6.1, after Huang et al. \[30\]): `≈ 1.736/g`, i.e. `1.29×`
 /// slower than AshN.
 pub const SQISW_MEAN_TIME: f64 = 1.7360594431533597;
 

@@ -18,7 +18,7 @@
 //!
 //! Two performance properties of this module matter downstream:
 //!
-//! - the objective runs entirely on stack-allocated [`Mat4`]s
+//! - the objective runs entirely on stack-allocated [`Mat4`](ashn_math::Mat4)s
 //!   ([`crate::hamiltonian::evolve4`] + `makhlin4`), so the thousands of
 //!   evaluations per solve never touch the heap;
 //! - the multistart is fanned over scoped worker threads

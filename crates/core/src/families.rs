@@ -1,5 +1,5 @@
 //! Continuous gate families subsumed by AshN (paper §1): the fSim family
-//! (Foxen et al. [2]) and the XY interaction family (Abrams et al. [4]) are
+//! (Foxen et al. \[2\]) and the XY interaction family (Abrams et al. \[4\]) are
 //! strict subsets of the AshN instruction set; this module compiles them and
 //! quantifies the claim.
 

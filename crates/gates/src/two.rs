@@ -88,7 +88,7 @@ pub fn molmer_sorensen() -> CMat {
     expm_i_hermitian(&hgen, -1.0)
 }
 
-/// The fSim gate family `fSim(θ, φ)` (Foxen et al. [2]).
+/// The fSim gate family `fSim(θ, φ)` (Foxen et al. \[2\]).
 pub fn fsim(theta: f64, phi: f64) -> CMat {
     let (s, co) = theta.sin_cos();
     CMat::from_rows(&[
@@ -104,7 +104,7 @@ pub fn fsim(theta: f64, phi: f64) -> CMat {
     ])
 }
 
-/// The XY interaction family `XY(θ) = exp(−i·θ/4·(XX+YY))` (Abrams et al. [4]).
+/// The XY interaction family `XY(θ) = exp(−i·θ/4·(XX+YY))` (Abrams et al. \[4\]).
 pub fn xy(theta: f64) -> CMat {
     let hgen = (xx() + yy()).scale(c(0.25, 0.0));
     expm_i_hermitian(&hgen, -theta)

@@ -18,8 +18,9 @@
 //!   (KAK-canonicalized internally; nearly free for repeated Weyl classes
 //!   when the basis is wrapped in `ashn_synth::cache::CachedBasis`).
 //!
-//! The facade (`ashn::Compiler::opt_level`) runs these passes between
-//! routing and scheduling; the soundness contract — optimized circuits are
+//! Both front ends (`ashn::Compiler::opt_level` and the service's
+//! `CompileRequest::opt`) run these passes between routing and scheduling
+//! at an [`OptLevel`]; the soundness contract — optimized circuits are
 //! unitary-equivalent to their input with the global phase folded — is
 //! enforced by the property suite in `crates/opt/tests`.
 //!
@@ -88,4 +89,47 @@ pub fn standard_pipeline<'p, B: Basis + 'p>(basis: B, accept_tol: f64) -> PassMa
     structural_pipeline()
         .with_pass(retarget)
         .with_pass(Resynthesize::new(basis, accept_tol))
+}
+
+/// How hard a front end optimizes the routed circuit between routing and
+/// scheduling. Both front ends take this one enum and build the pass
+/// pipeline with [`OptLevel::pipeline`], each over its own basis:
+///
+/// * `ashn::Compiler` resynthesizes through its memo-cached basis (its
+///   `ShardedCache`, with the closed-form rule tier armed);
+/// * `ashn_service::CompileService` resynthesizes through its plain,
+///   uncached basis, so each request stays a pure function of its inputs
+///   (worker-count invariant). Repeated blocks are rare after routing, so
+///   a cache would buy little there anyway.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum OptLevel {
+    /// No optimization: the routed circuit is scheduled as assembled. This
+    /// is the default in both front ends, preserving the historical
+    /// pipeline output bit for bit.
+    #[default]
+    None,
+    /// The [`structural_pipeline`] only: exact rewrites at near-machine
+    /// precision.
+    Light,
+    /// The [`standard_pipeline`]: the structural passes, rule retargeting
+    /// and two-qubit block resynthesis, accepting replacements within
+    /// [`OPT_ACCEPT_TOL`].
+    Standard,
+}
+
+impl OptLevel {
+    /// The facade's former name for [`OptLevel::Standard`]; existing
+    /// callers of `OptLevel::Default` compile unchanged.
+    #[allow(non_upper_case_globals)]
+    pub const Default: OptLevel = OptLevel::Standard;
+
+    /// The pass pipeline for this level over `basis`, or `None` at
+    /// [`OptLevel::None`].
+    pub fn pipeline<'p, B: Basis + 'p>(self, basis: B) -> Option<PassManager<'p>> {
+        match self {
+            OptLevel::None => None,
+            OptLevel::Light => Some(structural_pipeline()),
+            OptLevel::Standard => Some(standard_pipeline(basis, OPT_ACCEPT_TOL)),
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! exact heavy-output probability.
 
 use crate::gateset::GateSet;
-use ashn_ir::{Basis, Circuit, SynthError};
+use ashn_ir::{Basis, Circuit, IrError, SynthError};
 use ashn_math::randmat::haar_su;
 use ashn_math::CMat;
 use ashn_route::{expand_route_ops, random_pairing, Grid, Router};
@@ -114,7 +114,10 @@ pub fn compile_model(model: &ModelCircuit, gate_set: GateSet) -> Result<Compiled
 ///
 /// # Errors
 ///
-/// Propagates [`SynthError`] from synthesis and assembly.
+/// [`SynthError::Ir`] when a layer pair names a qubit outside `0..model.d`
+/// ([`IrError::QubitOutOfRange`]) or a qubit twice in one layer
+/// ([`IrError::RepeatedQubit`]; a self-pair counts); otherwise propagates
+/// [`SynthError`] from synthesis and assembly.
 ///
 /// # Panics
 ///
@@ -125,6 +128,7 @@ pub fn compile_model_on(
     basis: &dyn Basis,
     grid: Option<Grid>,
 ) -> Result<CompiledModel, SynthError> {
+    validate_layers(model)?;
     let grid = grid.unwrap_or_else(|| Grid::for_qubits(model.d));
     let n_sites = grid.len();
     let mut router = Router::new(grid, model.d);
@@ -142,6 +146,29 @@ pub fn compile_model_on(
     }
     let positions = (0..model.d).map(|l| router.position(l)).collect();
     Ok(CompiledModel { circuit, positions })
+}
+
+/// Checks that every layer of `model` pairs distinct in-range qubits,
+/// each at most once: the router's contract, checked before it can panic
+/// on a model built by hand (the fields are public).
+fn validate_layers(model: &ModelCircuit) -> Result<(), IrError> {
+    for layer in &model.layers {
+        let mut seen = vec![false; model.d];
+        for &((a, b), _) in layer {
+            for q in [a, b] {
+                if q >= model.d {
+                    return Err(IrError::QubitOutOfRange {
+                        qubit: q,
+                        n: model.d,
+                    });
+                }
+                if std::mem::replace(&mut seen[q], true) {
+                    return Err(IrError::RepeatedQubit { qubit: q });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Stamps per-gate depolarizing rates from the noise model (single-qubit

@@ -1,4 +1,4 @@
-//! The full quantum-volume pass/fail protocol (Cross et al. [48]): a device
+//! The full quantum-volume pass/fail protocol (Cross et al. \[48\]): a device
 //! achieves `QV = 2^d` when the mean heavy-output probability at size `d`
 //! exceeds 2/3 with confidence.
 

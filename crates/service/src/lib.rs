@@ -40,12 +40,12 @@ pub mod persist;
 pub mod service;
 pub mod sharded;
 
-pub use ashn_opt::OPT_ACCEPT_TOL;
+pub use ashn_opt::{OptLevel, OPT_ACCEPT_TOL};
 pub use ashn_synth::resilience::RetryPolicy;
 pub use error::ServiceError;
 pub use persist::{LoadOutcome, LoadReport, HEADER};
 pub use service::{
-    BatchCompileResult, BatchResult, CompileRequest, CompileResult, CompileService, OptLevel,
-    Resilience, ServiceStats,
+    BatchCompileResult, BatchResult, CompileRequest, CompileResult, CompileService, Resilience,
+    ServiceStats,
 };
 pub use sharded::{ShardedCache, DEFAULT_CAPACITY, DEFAULT_SHARDS};

@@ -40,7 +40,7 @@ use ashn_gates::kak::weyl_coordinates4;
 use ashn_gates::weyl::WeylPoint;
 use ashn_ir::{Basis, Circuit};
 use ashn_math::{CMat, Mat4};
-use ashn_opt::{standard_pipeline, structural_pipeline, OptStats, OPT_ACCEPT_TOL};
+use ashn_opt::{OptLevel, OptStats};
 use ashn_qv::{stamp_noise, QvNoise};
 use ashn_route::{Grid, LookaheadRouter, RouteOp};
 use ashn_synth::cache::{serve_from_entry, ClassEntry, ClassKey, ClassStore, Lookup};
@@ -82,22 +82,6 @@ impl Default for Resilience {
             verify_tol: Some(1e-3),
         }
     }
-}
-
-/// Optimizer effort for a [`CompileRequest`] (the `ashn-opt` pipelines).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OptLevel {
-    /// Route and schedule only.
-    #[default]
-    None,
-    /// Structural passes (exact rewrites at near-machine precision).
-    Light,
-    /// Structural passes plus two-qubit block resynthesis through the
-    /// service basis. Resynthesis runs on the *uncached* basis so each
-    /// request stays a pure function of its inputs (worker-count
-    /// invariant); repeated blocks are rare after routing, so the cache
-    /// would buy little here anyway.
-    Standard,
 }
 
 /// One circuit to compile, with its pipeline options.
@@ -1077,19 +1061,13 @@ impl<B: Basis + Sync> CompileService<B> {
             }
         }
 
-        let opt_stats = match req.opt {
-            OptLevel::None => None,
-            OptLevel::Light => {
-                let (optimized, stats) = structural_pipeline().run(&physical)?;
+        let opt_stats = match req.opt.pipeline(&self.basis) {
+            Some(pipeline) => {
+                let (optimized, stats) = pipeline.run(&physical)?;
                 physical = optimized;
                 Some(stats)
             }
-            OptLevel::Standard => {
-                let (optimized, stats) =
-                    standard_pipeline(&self.basis, OPT_ACCEPT_TOL).run(&physical)?;
-                physical = optimized;
-                Some(stats)
-            }
+            None => None,
         };
 
         let circuit = match &req.noise {

@@ -3,7 +3,7 @@
 //!
 //! The instruction walk ([`crate::engine::SimEngine::run_pure_walk`] /
 //! [`crate::engine::SimEngine::run_trajectory_walk`]) re-does per gate, per
-//! run, work that depends only on the circuit: it chases a heap [`CMat`]
+//! run, work that depends only on the circuit: it chases a heap [`CMat`](ashn_math::CMat)
 //! behind every [`Instruction`], re-detects the kernel case
 //! (diagonal / controlled-phase / dense) inside `apply_gate`, re-resolves
 //! the depolarizing rate from the noise model, and injects trajectory
@@ -76,7 +76,7 @@ pub enum PlanError {
         qubits: usize,
     },
     /// The register size is outside the supported
-    /// `1..=`[`MAX_QUBITS`](crate::MAX_QUBITS) range.
+    /// `1..=`[`MAX_QUBITS`] range.
     RegisterOutOfRange {
         /// The offending register size.
         n: usize,
@@ -299,7 +299,7 @@ impl ExecPlan {
     /// # Errors
     ///
     /// [`PlanError::UnsupportedArity`] when a gate acts on ≥ 3 qubits,
-    /// [`PlanError::RegisterOutOfRange`] outside `1..=`[`MAX_QUBITS`](crate::MAX_QUBITS)
+    /// [`PlanError::RegisterOutOfRange`] outside `1..=`[`MAX_QUBITS`]
     /// qubits.
     pub fn build(circuit: &Circuit, noise: &NoiseModel) -> Result<Self, PlanError> {
         Self::build_with(circuit, |g| noise.rate_for(g))

@@ -109,7 +109,7 @@ impl Basis for EcrBasis {
     }
 }
 
-/// Flux-tuned SQiSW (√iSWAP): 1–3 applications after Huang et al. [30],
+/// Flux-tuned SQiSW (√iSWAP): 1–3 applications after Huang et al. \[30\],
 /// with numerically searched interleavers (gate time `π/4 · 1/g`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SqiswBasis;

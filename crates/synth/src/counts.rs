@@ -2,23 +2,23 @@
 //! (paper Fig. 6(c) and Theorems 3/12/13).
 
 /// Theoretical lower bound on CNOT count for a generic `n`-qubit unitary:
-/// `⌈(4ⁿ − 3n − 1)/4⌉` (Shende et al. [37, 38]).
+/// `⌈(4ⁿ − 3n − 1)/4⌉` (Shende et al. \[37, 38\]).
 pub fn cnot_lower_bound(n: u32) -> u64 {
     let num = 4u64.pow(n) - 3 * n as u64 - 1;
     num.div_ceil(4)
 }
 
 /// Theoretical lower bound on generic two-qubit gate count:
-/// `⌈(4ⁿ − 3n − 1)/9⌉` (Yu & Ying [44]).
+/// `⌈(4ⁿ − 3n − 1)/9⌉` (Yu & Ying \[44\]).
 pub fn generic_lower_bound(n: u32) -> u64 {
     let num = 4u64.pow(n) - 3 * n as u64 - 1;
     num.div_ceil(9)
 }
 
-/// The optimized QSD CNOT count of [35]: `23/48·4ⁿ − 3/2·2ⁿ + 4/3`.
+/// The optimized QSD CNOT count of \[35\]: `23/48·4ⁿ − 3/2·2ⁿ + 4/3`.
 ///
 /// Our plain QSD implementation (without the two ad-hoc optimizations of
-/// [35]) produces [`crate::qsd::qsd_count`] instead; both are reported in
+/// \[35\]) produces [`crate::qsd::qsd_count`] instead; both are reported in
 /// the Fig. 6(c) bench.
 pub fn qsd_cnot_formula(n: u32) -> f64 {
     23.0 / 48.0 * 4f64.powi(n as i32) - 1.5 * 2f64.powi(n as i32) + 4.0 / 3.0

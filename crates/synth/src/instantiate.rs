@@ -1,4 +1,4 @@
-//! Numerical circuit instantiation (the QFactor [46] role in paper §6.2):
+//! Numerical circuit instantiation (the QFactor \[46\] role in paper §6.2):
 //! given a fixed circuit ansatz, optimize its free blocks to approximate a
 //! target unitary, by alternating closed-form block updates (the unitary
 //! maximizing the trace overlap is the polar factor of the block's

@@ -3,7 +3,7 @@
 //! Quantum circuit synthesis for the AshN reproduction:
 //!
 //! * two-qubit synthesis over the CNOT/CZ basis (0–3 gates), the SQiSW
-//!   basis (1–3 applications, after Huang et al. [30]), and the AshN basis
+//!   basis (1–3 applications, after Huang et al. \[30\]), and the AshN basis
 //!   (always a single pulse);
 //! * cosine–sine decomposition and quantum multiplexors;
 //! * quantum Shannon decomposition for n-qubit unitaries in both the CNOT

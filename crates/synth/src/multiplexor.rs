@@ -1,5 +1,5 @@
 //! Quantum multiplexors: dense builders, Gray-code CNOT ladders for
-//! multiplexed rotations (Möttönen et al. [42]), and demultiplexing of
+//! multiplexed rotations (Möttönen et al. \[42\]), and demultiplexing of
 //! select-qubit block-diagonal unitaries.
 
 use ashn_gates::single::{ry, rz};

@@ -1,4 +1,4 @@
-//! Quantum Shannon decomposition (Shende–Bullock–Markov [35]): recursive
+//! Quantum Shannon decomposition (Shende–Bullock–Markov \[35\]): recursive
 //! synthesis of arbitrary n-qubit unitaries via CSD and demultiplexing.
 //!
 //! Two bases are supported:
@@ -140,7 +140,7 @@ fn qsd_rec(u: &CMat, qubits: &[usize], basis: SynthBasis, out: &mut Circuit) {
 }
 
 /// Two-qubit gate count produced by [`qsd`] for an `n`-qubit generic target
-/// (the plain recursion, without the ad-hoc optimizations of [35]).
+/// (the plain recursion, without the ad-hoc optimizations of \[35\]).
 pub fn qsd_count(n: usize, basis: SynthBasis) -> usize {
     match (n, basis) {
         (0, _) => 0,

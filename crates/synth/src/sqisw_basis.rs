@@ -1,5 +1,5 @@
 //! Two-qubit synthesis over the SQiSW (√iSWAP) basis, following Huang et
-//! al., "Quantum instruction set design for performance" [30]: one
+//! al., "Quantum instruction set design for performance" \[30\]: one
 //! application for the SQiSW class itself, two applications exactly when the
 //! target class satisfies `x ≥ y + |z|` (the region `W₀`, ≈79% of Haar
 //! measure), three otherwise.
@@ -178,7 +178,7 @@ fn w0_reduction(u: &CMat) -> Result<(CMat, CMat), SqiswError> {
 }
 
 /// Decomposes an arbitrary two-qubit unitary into SQiSW applications plus
-/// single-qubit gates (0–3 applications, minimal per [30]).
+/// single-qubit gates (0–3 applications, minimal per \[30\]).
 ///
 /// # Errors
 ///

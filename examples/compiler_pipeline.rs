@@ -78,7 +78,7 @@ fn main() -> Result<(), AshnError> {
     let optimized = Compiler::new()
         .gate_set(GateSet::Ashn { cutoff: 1.1 })
         .noise(noise)
-        .opt_level(OptLevel::Default)
+        .opt_level(OptLevel::Standard)
         .compile(&model)?;
     let score = optimized.score();
     println!(
@@ -89,7 +89,7 @@ fn main() -> Result<(), AshnError> {
         score.interaction_time,
     );
     if let Some(stats) = optimized.opt_stats() {
-        println!("\nOptimizer (OptLevel::Default): {stats}");
+        println!("\nOptimizer (OptLevel::Standard): {stats}");
     }
 
     println!(

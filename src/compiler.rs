@@ -22,9 +22,7 @@
 
 use crate::error::AshnError;
 use ashn_ir::{Basis, Circuit};
-use ashn_opt::{
-    standard_pipeline, structural_pipeline, OptStats, PassManager, Resynthesize, Retarget,
-};
+use ashn_opt::{OptLevel, OptStats, PassManager, Resynthesize, Retarget};
 use ashn_qv::experiment::{
     compile_model_on, score_compiled, score_compiled_many, stamp_noise, CircuitScore,
     CompiledModel, ModelCircuit,
@@ -45,29 +43,6 @@ use ashn_synth::retarget::standard_rules;
 /// observable from the facade.
 pub type SynthStats = ashn_synth::cache::CacheStats;
 
-/// How aggressively the compiler optimizes the routed circuit before
-/// scheduling (the `ashn-opt` pass pipeline).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OptLevel {
-    /// No optimization: the routed circuit is scheduled as assembled. This
-    /// is the builder default, preserving the historical pipeline output
-    /// bit for bit.
-    #[default]
-    None,
-    /// Structural passes only (exact rewrites at near-machine precision):
-    /// adjacent single-qubit merge, global-phase folding, and
-    /// commutation-aware cancellation.
-    Light,
-    /// The standard pipeline: the structural passes plus `Collect2q` +
-    /// resynthesis — maximal two-qubit runs are gathered into one `SU(4)`
-    /// target and re-emitted through the compiler's (cached) basis when
-    /// that is strictly cheaper. Replacements are accepted only when their
-    /// realized unitary matches the block within
-    /// [`Compiler::OPT_ACCEPT_TOL`], the same fidelity scale the numerical
-    /// bases synthesize to.
-    Default,
-}
-
 /// Builder for the end-to-end compilation pipeline.
 ///
 /// Defaults: the AshN basis with the paper's cutoff `r = 1.1`, the paper's
@@ -76,7 +51,8 @@ pub enum OptLevel {
 /// so out of the box the pipeline reproduces the historical
 /// synthesize → route → schedule → simulate output bit for bit. Select
 /// [`OptLevel::Light`] for the exact structural rewrites or
-/// [`OptLevel::Default`] to add two-qubit block resynthesis.
+/// [`OptLevel::Standard`] to add two-qubit block resynthesis through the
+/// compiler's memo-cached basis.
 ///
 /// Every synthesis goes through one memo store, a [`ShardedCache`]: a
 /// private one-shard cache of 256 classes unless
@@ -116,7 +92,7 @@ impl Compiler {
     }
 
     /// Acceptance tolerance for resynthesized blocks under
-    /// [`OptLevel::Default`] ([`ashn_opt::OPT_ACCEPT_TOL`], the one value
+    /// [`OptLevel::Standard`] ([`ashn_opt::OPT_ACCEPT_TOL`], the one value
     /// both front ends use).
     pub const OPT_ACCEPT_TOL: f64 = ashn_opt::OPT_ACCEPT_TOL;
 
@@ -189,8 +165,10 @@ impl Compiler {
     ///
     /// # Errors
     ///
-    /// [`AshnError::Opt`] when a pass fails structurally (e.g. the input
-    /// contains ≥3-qubit instructions).
+    /// Optimizer failures surface through `From<OptError>`:
+    /// [`AshnError::Ir`] when a pass fails structurally (e.g. the input
+    /// contains ≥3-qubit instructions), [`AshnError::Synth`] when
+    /// resynthesis fails, and [`AshnError::Config`] for a stale pass anchor.
     pub fn retarget_circuit(&self, circuit: &Circuit) -> Result<(Circuit, OptStats), AshnError> {
         let mut retarget = Retarget::new(self.basis.as_ref());
         if let Some(source) = &self.source {
@@ -245,13 +223,13 @@ impl Compiler {
         // Optimize between routing and scheduling: rewrites act on the
         // physical-site circuit (wire identities preserved, so the router's
         // final placement stays valid) before noise rates are resolved.
-        let opt_stats = match self.opt {
-            OptLevel::None => None,
-            OptLevel::Light => Some(self.optimize(&mut compiled.circuit, structural_pipeline())?),
-            OptLevel::Default => Some(self.optimize(
-                &mut compiled.circuit,
-                standard_pipeline(&basis, Self::OPT_ACCEPT_TOL),
-            )?),
+        let opt_stats = match self.opt.pipeline(&basis) {
+            Some(pipeline) => {
+                let (optimized, stats) = pipeline.run(&compiled.circuit)?;
+                compiled.circuit = optimized;
+                Some(stats)
+            }
+            None => None,
         };
         Ok(Compiled {
             model: compiled,
@@ -266,16 +244,6 @@ impl Compiler {
     fn cached_basis(&self) -> CachedBasis<&dyn Basis, ShardedCache> {
         CachedBasis::with_store(self.basis.as_ref(), self.cache.clone())
             .with_rules(standard_rules())
-    }
-
-    fn optimize(
-        &self,
-        circuit: &mut Circuit,
-        pipeline: PassManager,
-    ) -> Result<OptStats, AshnError> {
-        let (optimized, stats) = pipeline.run(circuit)?;
-        *circuit = optimized;
-        Ok(stats)
     }
 }
 

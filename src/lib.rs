@@ -76,7 +76,7 @@ pub use ashn_sim as sim;
 pub use ashn_synth as synth;
 pub use ashn_telemetry as telemetry;
 
-pub use compiler::{Compiled, Compiler, OptLevel, SynthStats};
+pub use compiler::{Compiled, Compiler, SynthStats};
 pub use error::AshnError;
-pub use opt::{OptStats, PassManager, Retarget};
+pub use opt::{OptLevel, OptStats, PassManager, Retarget};
 pub use qv::{GateSet, QvNoise};

@@ -19,12 +19,12 @@ fn opt_level_default_reduces_counts_and_reports_stats() -> Result<(), AshnError>
     let opt = Compiler::new()
         .gate_set(GateSet::Ashn { cutoff: 1.1 })
         .noise(noise)
-        .opt_level(OptLevel::Default)
+        .opt_level(OptLevel::Standard)
         .compile(&model)?;
 
     // The default compiler does not optimize (and reports no stats).
     assert!(raw.opt_stats().is_none());
-    let stats = opt.opt_stats().expect("stats at OptLevel::Default");
+    let stats = opt.opt_stats().expect("stats at OptLevel::Standard");
     assert_eq!(stats.before.gates, raw.circuit().instructions.len());
     assert_eq!(stats.after.gates, opt.circuit().instructions.len());
     assert!(stats.gates_removed() > 0, "QV circuits always fuse 1q runs");
@@ -72,7 +72,7 @@ fn optimized_circuits_simulate_equivalently() -> Result<(), AshnError> {
     let model = sample_model_circuit(3, &mut rng);
     let raw = Compiler::new().compile(&model)?;
     let opt = Compiler::new()
-        .opt_level(OptLevel::Default)
+        .opt_level(OptLevel::Standard)
         .compile(&model)?;
     let p_raw = raw.logical_probs(&raw.simulate_pure().probabilities());
     let p_opt = opt.logical_probs(&opt.simulate_pure().probabilities());

@@ -9,11 +9,11 @@ use ashn::core::verify::{average_gate_fidelity, entanglement_fidelity};
 use ashn::gates::cost::optimal_time;
 use ashn::gates::kak::weyl_coordinates;
 use ashn::gates::weyl::WeylPoint;
-use ashn::ir::{Basis, Circuit, Instruction};
+use ashn::ir::{Basis, Circuit, Instruction, IrError};
 use ashn::math::randmat::haar_unitary;
 use ashn::math::CMat;
 use ashn::prelude::{AshnBasis, CnotBasis};
-use ashn::qv::sample_model_circuit;
+use ashn::qv::{sample_model_circuit, ModelCircuit};
 use ashn::sim::{NoiseModel, Simulate};
 use ashn::synth::qsd::{qsd, SynthBasis};
 use ashn::{AshnError, Compiler, GateSet, QvNoise};
@@ -180,4 +180,26 @@ fn compiler_rejects_undersized_grid() {
         .grid(ashn::route::Grid::new(1, 2))
         .compile(&model);
     assert!(matches!(result, Err(AshnError::Config { .. })));
+}
+
+/// Hand-built model layers that break the router's contract (a qubit out
+/// of range, a self-pair, two pairs sharing a qubit) are typed IR errors,
+/// not panics inside routing.
+#[test]
+fn compiler_rejects_malformed_model_layers() {
+    let cases = [
+        (2, vec![(0, 5)], IrError::QubitOutOfRange { qubit: 5, n: 2 }),
+        (2, vec![(1, 1)], IrError::RepeatedQubit { qubit: 1 }),
+        (3, vec![(0, 1), (1, 2)], IrError::RepeatedQubit { qubit: 1 }),
+    ];
+    for (d, pairs, expected) in cases {
+        let model = ModelCircuit {
+            d,
+            layers: vec![pairs.iter().map(|&p| (p, CMat::identity(4))).collect()],
+        };
+        match Compiler::new().compile(&model) {
+            Err(AshnError::Ir(e)) => assert_eq!(e, expected, "{pairs:?}"),
+            other => panic!("{pairs:?}: expected an IR error, got {other:?}"),
+        }
+    }
 }
