@@ -3,48 +3,90 @@
 //! Used for the quantum-volume experiments (paper §6.3): heavy-output
 //! probabilities are computed exactly from the noisy density matrix, so the
 //! only statistical error left is over the random-circuit ensemble itself.
+//!
+//! ## Layout: ρ as a `2n`-qubit vector
+//!
+//! ρ is stored row-major, which makes the buffer the `2n`-qubit vector
+//! vec(ρ): row qubit `q` is register qubit `q` and column qubit `q` is
+//! register qubit `n + q` (qubit 0 most significant, as everywhere in this
+//! crate). `ρ → UρU†` is then `U` on the row qubits followed by the
+//! entrywise `conj(U)` on the column qubits, both run by the statevector
+//! kernels behind [`ashn_ir::circuit::apply_gate`]. Those kernels do the
+//! textbook gather/scatter arithmetic (zero start, left-to-right sums,
+//! `u * g`), so ρ is bit-identical to the explicit product up to the sign
+//! of exact zeros. A depolarizing channel takes one row *rest* (a row
+//! index with the target bits clear) at a time: it reads that rest's
+//! partial traces through a `2^k`-entry offset table, then rewrites its
+//! `2^k` rows with the same `ρ·(1−p) + fresh·p` expression per entry.
+//!
+//! ## Cost and cap
+//!
+//! ρ holds `4^n` entries (16 bytes each). A `k`-qubit gate costs two
+//! statevector sweeps of `4^n · 2^k` multiply-adds, a depolarizing channel
+//! one `O(4^n)` sweep. Registers are capped at
+//! [`MAX_DENSITY_QUBITS`]` = 12` (256 MiB); use the trajectory ensembles of
+//! [`crate::trajectory`] beyond that.
 
-use crate::state::StateVector;
+use crate::state::{assert_gate_args, StateVector};
 use ashn_math::{c, CMat, Complex};
+
+/// Largest register a [`DensityMatrix`] holds: `4^12` amplitudes are
+/// 256 MiB.
+pub const MAX_DENSITY_QUBITS: usize = 12;
 
 /// An `n`-qubit density matrix.
 #[derive(Clone, Debug)]
 pub struct DensityMatrix {
     n: usize,
     dim: usize,
-    mat: Vec<Complex>, // row-major dim×dim
+    mat: Vec<Complex>, // row-major dim×dim, i.e. the 2n-qubit vec(ρ)
 }
 
 impl DensityMatrix {
-    /// The pure state `|0…0⟩⟨0…0|`.
-    pub fn zero(n: usize) -> Self {
+    /// The all-zero `n`-qubit matrix, after the register-size check.
+    fn zeros(n: usize) -> Self {
         assert!(
-            (1..=12).contains(&n),
+            (1..=MAX_DENSITY_QUBITS).contains(&n),
             "density matrices supported up to 12 qubits"
         );
         let dim = 1 << n;
-        let mut mat = vec![Complex::ZERO; dim * dim];
-        mat[0] = Complex::ONE;
+        let mat = vec![Complex::ZERO; dim * dim];
         Self { n, dim, mat }
     }
 
+    /// The pure state `|0…0⟩⟨0…0|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics outside `1..=`[`MAX_DENSITY_QUBITS`].
+    pub fn zero(n: usize) -> Self {
+        let mut rho = Self::zeros(n);
+        rho.mat[0] = Complex::ONE;
+        rho
+    }
+
     /// Density matrix of a pure state.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the state has more than [`MAX_DENSITY_QUBITS`] qubits.
     pub fn from_state(s: &StateVector) -> Self {
-        let n = s.n_qubits();
-        let dim = 1 << n;
-        let amps = s.amplitudes();
-        let mut mat = vec![Complex::ZERO; dim * dim];
-        for r in 0..dim {
-            for cc in 0..dim {
-                mat[r * dim + cc] = amps[r] * amps[cc].conj();
-            }
+        let mut rho = Self::zeros(s.n_qubits());
+        let (dim, amps) = (rho.dim, s.amplitudes());
+        for (i, e) in rho.mat.iter_mut().enumerate() {
+            *e = amps[i / dim] * amps[i % dim].conj();
         }
-        Self { n, dim, mat }
+        rho
     }
 
     /// Number of qubits.
     pub fn n_qubits(&self) -> usize {
         self.n
+    }
+
+    /// Row-major entries: `ρ[r][c]` at `r·2^n + c`, i.e. vec(ρ).
+    pub fn as_slice(&self) -> &[Complex] {
+        &self.mat
     }
 
     /// Trace (1 for a valid state).
@@ -70,63 +112,18 @@ impl DensityMatrix {
             .collect()
     }
 
-    /// Applies `ρ → UρU†` with a `k`-qubit unitary on the listed qubits.
+    /// Applies `ρ → UρU†` with a `k`-qubit unitary on the listed qubits:
+    /// `U` on the row qubits, then `conj(U)` on the column qubits of vec(ρ).
     ///
     /// # Panics
     ///
-    /// Same conditions as [`StateVector::apply`].
+    /// Same conditions as [`StateVector::apply`]: the matrix is not
+    /// `2^k × 2^k`, qubits repeat, or an index is out of range.
     pub fn apply(&mut self, qubits: &[usize], u: &CMat) {
-        let k = qubits.len();
-        assert_eq!(u.rows(), 1 << k, "matrix dimension mismatch");
-        let pos: Vec<usize> = qubits.iter().map(|q| self.n - 1 - q).collect();
-        let targets_mask: usize = pos.iter().map(|p| 1usize << p).sum();
-        let sub = 1usize << k;
-        let expand = |base: usize, m: usize| -> usize {
-            let mut idx = base;
-            for (j, p) in pos.iter().enumerate() {
-                if m >> (k - 1 - j) & 1 == 1 {
-                    idx |= 1 << p;
-                }
-            }
-            idx
-        };
-        // Left multiplication: rows transform by U.
-        let mut gathered = vec![Complex::ZERO; sub];
-        for col in 0..self.dim {
-            for base in 0..self.dim {
-                if base & targets_mask != 0 {
-                    continue;
-                }
-                for (m, g) in gathered.iter_mut().enumerate() {
-                    *g = self.mat[expand(base, m) * self.dim + col];
-                }
-                for row in 0..sub {
-                    let mut acc = Complex::ZERO;
-                    for (mcol, g) in gathered.iter().enumerate() {
-                        acc += u[(row, mcol)] * *g;
-                    }
-                    self.mat[expand(base, row) * self.dim + col] = acc;
-                }
-            }
-        }
-        // Right multiplication by U†: columns transform by conj(U).
-        for row in 0..self.dim {
-            for base in 0..self.dim {
-                if base & targets_mask != 0 {
-                    continue;
-                }
-                for (m, g) in gathered.iter_mut().enumerate() {
-                    *g = self.mat[row * self.dim + expand(base, m)];
-                }
-                for colm in 0..sub {
-                    let mut acc = Complex::ZERO;
-                    for (mrow, g) in gathered.iter().enumerate() {
-                        acc += u[(colm, mrow)].conj() * *g;
-                    }
-                    self.mat[row * self.dim + expand(base, colm)] = acc;
-                }
-            }
-        }
+        assert_gate_args(self.n, qubits, Some(u));
+        let columns: Vec<usize> = qubits.iter().map(|q| q + self.n).collect();
+        ashn_ir::circuit::apply_gate(&mut self.mat, 2 * self.n, qubits, u);
+        ashn_ir::circuit::apply_gate(&mut self.mat, 2 * self.n, &columns, &u.conj());
     }
 
     /// Applies a `k`-qubit depolarizing channel with probability `p`:
@@ -134,47 +131,49 @@ impl DensityMatrix {
     ///
     /// # Panics
     ///
-    /// Panics when `p ∉ [0, 1]` or qubits are invalid.
+    /// Panics when `p ∉ [0, 1]` or the qubits fail [`StateVector::apply`]'s
+    /// conditions (count, range, repeats).
     pub fn depolarize(&mut self, qubits: &[usize], p: f64) {
+        assert_gate_args(self.n, qubits, None);
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         if p == 0.0 {
             return;
         }
-        let k = qubits.len();
-        let pos: Vec<usize> = qubits.iter().map(|q| self.n - 1 - q).collect();
-        let targets_mask: usize = pos.iter().map(|p| 1usize << p).sum();
-        let sub = 1usize << k;
-        let expand = |base: usize, m: usize| -> usize {
-            let mut idx = base;
-            for (j, pp) in pos.iter().enumerate() {
-                if m >> (k - 1 - j) & 1 == 1 {
-                    idx |= 1 << pp;
-                }
-            }
-            idx
-        };
-        let norm = 1.0 / sub as f64;
-        // For every pair of non-target index parts, mix in the partial trace.
-        for rbase in 0..self.dim {
-            if rbase & targets_mask != 0 {
-                continue;
-            }
-            for cbase in 0..self.dim {
-                if cbase & targets_mask != 0 {
-                    continue;
-                }
-                // Partial trace over targets for this (rest_r, rest_c) pair.
+        let dim = self.dim;
+        // Column offset of target pattern `s` (qubits[0] its most
+        // significant bit); the matching row offset is `off[s] * dim`.
+        let mut off = vec![0usize];
+        for q in qubits {
+            let bit = 1 << (self.n - 1 - q);
+            off = off.iter().flat_map(|&o| [o, o | bit]).collect();
+        }
+        // Row/column indices with every target bit clear, ascending.
+        let rest: Vec<usize> = (0..dim).filter(|i| i & off[off.len() - 1] == 0).collect();
+        let norm = 1.0 / off.len() as f64;
+        let mut mixed = vec![Complex::ZERO; rest.len()];
+        let mut diag = mixed.clone();
+        for &r in &rest {
+            // Partial traces over the targets of this row rest against
+            // every column rest, read before any of its rows is written.
+            for (m, &cc) in mixed.iter_mut().zip(&rest) {
                 let mut tr = Complex::ZERO;
-                for s in 0..sub {
-                    tr += self.mat[expand(rbase, s) * self.dim + expand(cbase, s)];
+                for &o in &off {
+                    tr += self.mat[(r + o) * dim + cc + o];
                 }
-                let mixed = tr * c(norm, 0.0);
-                for mr in 0..sub {
-                    for mc in 0..sub {
-                        let idx = expand(rbase, mr) * self.dim + expand(cbase, mc);
-                        let fresh = if mr == mc { mixed } else { Complex::ZERO };
-                        self.mat[idx] = self.mat[idx] * (1.0 - p) + fresh * p;
-                    }
+                *m = tr * c(norm, 0.0);
+            }
+            for &or in &off {
+                // Entries whose row and column target patterns agree mix
+                // in the partial trace; every other entry mixes in zero.
+                let row = &mut self.mat[(r + or) * dim..][..dim];
+                for (d, (&cc, &m)) in diag.iter_mut().zip(rest.iter().zip(&mixed)) {
+                    *d = row[cc + or] * (1.0 - p) + m * p;
+                }
+                for e in row.iter_mut() {
+                    *e = *e * (1.0 - p) + Complex::ZERO * p;
+                }
+                for (&cc, &d) in rest.iter().zip(&diag) {
+                    row[cc + or] = d;
                 }
             }
         }
@@ -267,6 +266,48 @@ mod tests {
         }
         // But purity is 0.5 (pure ⊗ mixed), not 0.25.
         assert!((rho.purity() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate qubit 0")]
+    fn apply_rejects_repeated_qubits() {
+        DensityMatrix::zero(2).apply(&[0, 0], &CMat::identity(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit 2 out of range")]
+    fn apply_rejects_out_of_range_qubits() {
+        DensityMatrix::zero(2).apply(&[2], &h_gate());
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix dimension mismatch")]
+    fn apply_rejects_mismatched_matrices() {
+        DensityMatrix::zero(2).apply(&[0, 1], &h_gate());
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate qubit 1")]
+    fn depolarize_rejects_repeated_qubits() {
+        DensityMatrix::zero(2).depolarize(&[1, 1], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad qubit count")]
+    fn depolarize_rejects_an_empty_target_list() {
+        DensityMatrix::zero(2).depolarize(&[], 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "qubit 3 out of range")]
+    fn depolarize_validates_qubits_even_at_zero_rate() {
+        DensityMatrix::zero(2).depolarize(&[3], 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "supported up to 12 qubits")]
+    fn from_state_enforces_the_register_cap() {
+        DensityMatrix::from_state(&StateVector::zero(MAX_DENSITY_QUBITS + 1));
     }
 
     #[test]

@@ -25,6 +25,25 @@ pub(crate) fn check_register(n: usize) -> Result<usize, SimError> {
     }
 }
 
+/// Panics unless `qubits` lists `1..=n` distinct qubits, each `< n`, and
+/// (when given) `u` is a square `2^k × 2^k` matrix: the gate preconditions
+/// of [`StateVector::apply`] and [`crate::DensityMatrix`].
+pub(crate) fn assert_gate_args(n: usize, qubits: &[usize], u: Option<&CMat>) {
+    let k = qubits.len();
+    assert!(k >= 1 && k <= n, "bad qubit count");
+    if let Some(u) = u {
+        assert_eq!(u.rows(), 1 << k, "matrix dimension mismatch");
+        assert!(u.is_square());
+    }
+    for (i, q) in qubits.iter().enumerate() {
+        assert!(*q < n, "qubit {q} out of range");
+        assert!(
+            !qubits[i + 1..].contains(q),
+            "duplicate qubit {q} in gate application"
+        );
+    }
+}
+
 /// A normalised `n`-qubit state vector.
 #[derive(Clone, Debug)]
 pub struct StateVector {
@@ -158,17 +177,7 @@ impl StateVector {
     /// Panics when the matrix dimension is not `2^k`, qubits repeat, or an
     /// index is out of range.
     pub fn apply(&mut self, qubits: &[usize], u: &CMat) {
-        let k = qubits.len();
-        assert!(k >= 1 && k <= self.n, "bad qubit count");
-        assert_eq!(u.rows(), 1 << k, "matrix dimension mismatch");
-        assert!(u.is_square());
-        for (i, q) in qubits.iter().enumerate() {
-            assert!(*q < self.n, "qubit {q} out of range");
-            assert!(
-                !qubits[i + 1..].contains(q),
-                "duplicate qubit {q} in gate application"
-            );
-        }
+        assert_gate_args(self.n, qubits, Some(u));
         ashn_ir::circuit::apply_gate(&mut self.amps, self.n, qubits, u);
     }
 

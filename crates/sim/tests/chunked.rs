@@ -3,11 +3,13 @@
 //! depends on the worker count) and matches the scalar instruction walk at
 //! `1e-12` on large registers (n = 16…20) — the same guarantee the
 //! `BatchRunner` determinism suite pins for trajectory ensembles, one
-//! level down.
+//! level down. Batched 16-qubit ensembles agree bit for bit at any worker
+//! count, with fewer trajectory chunks than workers and with more.
 
 use ashn_math::randmat::haar_unitary;
 use ashn_math::{c, CMat, Complex};
 use ashn_sim::plan::ExecPlan;
+use ashn_sim::trajectory::trajectory_probabilities_batched_plan;
 use ashn_sim::{ChunkPolicy, Circuit, Instruction, NoiseModel, SimEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -138,6 +140,33 @@ fn noisy_chunked_trajectories_are_bit_identical_at_1_2_8_workers() {
     let reference = run(1);
     for workers in [2usize, 8] {
         assert!(run(workers) == reference, "workers={workers} diverged");
+    }
+}
+
+#[test]
+fn batched_ensembles_are_bit_identical_across_worker_counts() {
+    // 1/2/3 trajectories at 8 workers (and 1 at 2) leave workers without
+    // a chunk of their own; 8 trajectories give every worker at least one.
+    // However the ensemble splits its work, the estimate must not depend
+    // on the worker count.
+    let n = 16usize;
+    let mut rng = StdRng::seed_from_u64(7_300);
+    let circuit = wide_circuit(n, Some(0.25), &mut rng);
+    let plan = ExecPlan::build(&circuit, &NoiseModel::NOISELESS).unwrap();
+    for n_traj in [1usize, 2, 3, 8] {
+        let bits = |workers: usize| -> Vec<u64> {
+            trajectory_probabilities_batched_plan(&plan, n_traj, 99, workers)
+                .iter()
+                .map(|p| p.to_bits())
+                .collect()
+        };
+        let reference = bits(1);
+        for workers in [2usize, 8] {
+            assert!(
+                bits(workers) == reference,
+                "n_traj={n_traj} workers={workers} diverged"
+            );
+        }
     }
 }
 

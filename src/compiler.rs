@@ -313,6 +313,12 @@ impl Compiled {
 
     /// Exact density-matrix simulation under the scheduled noise, resolved
     /// per instruction without materializing an annotated circuit copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the compiled register has more than
+    /// [`ashn_sim::density::MAX_DENSITY_QUBITS`]` = 12` sites; estimate
+    /// larger registers with [`Compiled::simulate_trajectories`].
     pub fn simulate_noisy(&self) -> DensityMatrix {
         let rates = ashn_qv::resolve_rates(&self.model.circuit, &self.noise);
         self.model.circuit.run_noisy_scheduled(&rates)
@@ -360,6 +366,12 @@ impl Compiled {
 
     /// Heavy-output score of the compiled circuit under the configured
     /// noise (the full schedule → simulate → marginalize chain).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the compiled register has more than
+    /// [`ashn_sim::density::MAX_DENSITY_QUBITS`]` = 12` sites: the score
+    /// runs the exact density-matrix simulation.
     pub fn score(&self) -> CircuitScore {
         score_compiled(&self.model, &self.noise)
     }
