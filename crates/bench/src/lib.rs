@@ -13,6 +13,7 @@
 //! | `table1`      | Table 1: special gate-class pulse parameters |
 //! | `tavg`        | §A.7.1: closed-form vs Monte-Carlo `T_avg(r)` |
 //! | `calibration` | §5: Cartan-double / QPE / model calibration |
+//! | `chamber_sweep` | synthesis coverage of a Weyl-chamber grid per basis |
 //!
 //! Run e.g. `cargo run --release -p ashn-bench --bin fig7 -- --circuits 50`.
 //! All binaries accept `--seed` and print deterministic tables by default.

@@ -45,8 +45,6 @@ pub enum EaError {
     },
     /// The computed evolution time is not positive (identity-class target).
     NonPositiveTime,
-    /// The per-request deadline expired before the search finished.
-    DeadlineExceeded,
 }
 
 impl std::fmt::Display for EaError {
@@ -56,9 +54,6 @@ impl std::fmt::Display for EaError {
                 write!(f, "EA search did not converge (best distance {best:.3e})")
             }
             EaError::NonPositiveTime => write!(f, "evolution time must be positive"),
-            EaError::DeadlineExceeded => {
-                write!(f, "EA search deadline exceeded before convergence")
-            }
         }
     }
 }
@@ -173,35 +168,27 @@ pub fn ashn_ea_multistart(
 
 /// Search-effort configuration for [`ashn_ea_search`].
 ///
-/// The default (`extra_rounds = 0`, no deadline) reproduces
-/// [`ashn_ea_multistart`] bit for bit; retry layers above raise
-/// `extra_rounds` to widen the multistart with deterministically jittered
-/// seeds, and set `deadline` to bound the wall-clock budget.
+/// The default (`extra_rounds = 0`) reproduces [`ashn_ea_multistart`] bit
+/// for bit; retry layers above raise `extra_rounds` to widen the
+/// multistart with deterministically jittered seeds.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EaSearch {
     /// Worker threads for the multistart fan-out (`0` = hardware default).
     pub workers: usize,
     /// Escalation rounds appended after the base attempt list misses. Each
     /// round adds progressively more, wider-stepped attempts around the
-    /// best-ranked seeds.
+    /// best-ranked seeds, jittered by a stream derived from the round
+    /// budget itself, so a search with `k` rounds replays exactly.
     pub extra_rounds: u32,
-    /// Seed for the deterministic jitter applied by the escalation rounds
-    /// (retry layers derive it from the request, so retries explore new
-    /// starts while remaining replayable).
-    pub jitter_seed: u64,
-    /// Absolute wall-clock deadline, checked between attempt waves.
-    pub deadline: Option<std::time::Instant>,
 }
 
-/// [`ashn_ea_multistart`] generalized with escalation rounds and a
-/// wall-clock deadline (see [`EaSearch`]). Carries the
-/// `core::ea::convergence` failpoint, which fails the search as
-/// [`EaError::NoConvergence`] before any attempt runs.
+/// [`ashn_ea_multistart`] generalized with escalation rounds (see
+/// [`EaSearch`]). Carries the `core::ea::convergence` failpoint, which
+/// fails the search as [`EaError::NoConvergence`] before any attempt runs.
 ///
 /// # Errors
 ///
-/// Same as [`ashn_ea`], plus [`EaError::DeadlineExceeded`] when
-/// `search.deadline` expires between waves.
+/// Same as [`ashn_ea`].
 pub fn ashn_ea_search(
     h_ratio: f64,
     variant: EaVariant,
@@ -292,47 +279,37 @@ pub fn ashn_ea_search(
 
     // Waves of `workers` attempts: within a wave all attempts run
     // concurrently, and the scan below always returns the lowest-indexed
-    // success — the same winner the serial early-exit loop picks. The
-    // deadline is only consulted between waves, so a `None` deadline (the
-    // default, and every pre-existing caller) never reads the clock and
+    // success — the same winner the serial early-exit loop picks, so
     // results stay a pure function of the inputs.
     let wave = crate::par::resolve_workers(workers);
-    let expired = || {
-        search
-            .deadline
-            .is_some_and(|d| std::time::Instant::now() >= d)
-    };
     let mut best_dist = f64::INFINITY;
-    let run_round = |attempts: &[([f64; 2], f64)],
-                     best_dist: &mut f64|
-     -> Option<Result<(f64, DriveParams), EaError>> {
+    let run_round = |attempts: &[([f64; 2], f64)], best_dist: &mut f64| -> Option<DriveParams> {
         for chunk in attempts.chunks(wave) {
-            if expired() {
-                return Some(Err(EaError::DeadlineExceeded));
-            }
             // Bulk per-wave accounting: one add per wave, never per attempt.
             telemetry.add("core.ea.waves", 1);
             telemetry.add("core.ea.attempts", chunk.len() as u64);
             let outcomes = parallel_map(wave, chunk.len(), |i| run_attempt(&chunk[i]));
             for outcome in outcomes {
                 match outcome {
-                    Attempt::Converged(drive) => return Some(Ok((tau, drive))),
+                    Attempt::Converged(drive) => return Some(drive),
                     Attempt::Missed(dist) => *best_dist = best_dist.min(dist),
                 }
             }
         }
         None
     };
-    if let Some(result) = run_round(&attempts, &mut best_dist) {
-        return result;
+    if let Some(drive) = run_round(&attempts, &mut best_dist) {
+        return Ok((tau, drive));
     }
 
     // Escalation rounds: progressively more and wider-stepped attempts,
-    // jittered deterministically around the best-ranked seeds so retries
-    // explore genuinely new starts yet replay exactly.
+    // jittered around the best-ranked seeds by a stream seeded from the
+    // round budget, so retries explore genuinely new starts yet replay
+    // exactly.
+    let stream = mix64(u64::from(search.extra_rounds));
     for round in 1..=search.extra_rounds {
         telemetry.add("core.ea.escalation_rounds", 1);
-        let mut state = mix64(search.jitter_seed ^ round as u64);
+        let mut state = mix64(stream ^ round as u64);
         let mut draw = || {
             state = mix64(state);
             unit_f64(state)
@@ -348,8 +325,8 @@ pub fn ashn_ea_search(
                 ([omega, delta], step)
             })
             .collect();
-        if let Some(result) = run_round(&extra, &mut best_dist) {
-            return result;
+        if let Some(drive) = run_round(&extra, &mut best_dist) {
+            return Ok((tau, drive));
         }
     }
     Err(EaError::NoConvergence { best: best_dist })
@@ -493,31 +470,10 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_reports_deadline_exceeded() {
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let err = ashn_ea_search(
-            0.0,
-            EaVariant::Plus,
-            0.5,
-            0.45,
-            0.2,
-            &EaSearch {
-                workers: 1,
-                deadline: Some(past),
-                ..EaSearch::default()
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, EaError::DeadlineExceeded);
-    }
-
-    #[test]
     fn escalation_rounds_still_converge_and_stay_deterministic() {
         let search = EaSearch {
             workers: 1,
             extra_rounds: 2,
-            jitter_seed: 17,
-            deadline: None,
         };
         let a = ashn_ea_search(0.0, EaVariant::Plus, 0.5, 0.45, 0.2, &search).unwrap();
         let b = ashn_ea_search(0.0, EaVariant::Plus, 0.5, 0.45, 0.2, &search).unwrap();

@@ -2,7 +2,7 @@
 //! Weyl-chamber class to the ND / EA+ / EA− / ND-EXT sub-scheme that attains
 //! it in optimal time (or in extended time `π − 2x` under the cutoff `r`).
 
-use crate::ea::{ashn_ea_search, EaError, EaSearch, EaVariant};
+use crate::ea::{ashn_ea_search, EaSearch, EaVariant};
 use crate::hamiltonian::{evolve, DriveParams};
 use crate::nd::{ashn_nd, ashn_nd_ext};
 use ashn_gates::cost::optimal_time_branches;
@@ -100,9 +100,6 @@ pub struct CompileError {
     pub target: WeylPoint,
     /// Human-readable reason.
     pub reason: String,
-    /// Whether the failure was a deadline expiry (so retry layers can stop
-    /// escalating instead of burning a dead budget).
-    pub timed_out: bool,
 }
 
 impl std::fmt::Display for CompileError {
@@ -230,15 +227,13 @@ impl AshnScheme {
     }
 
     /// [`AshnScheme::compile`] with explicit search effort: `search` sets
-    /// the EA multistart fan-out, escalation rounds, jitter seed, and
-    /// wall-clock deadline (see [`EaSearch`]; with default effort and
-    /// `search.workers == self.workers` this is bit-identical to
-    /// [`AshnScheme::compile`]).
+    /// the EA multistart fan-out and escalation rounds (see [`EaSearch`];
+    /// with `extra_rounds == 0` and `search.workers == self.workers` this
+    /// is bit-identical to [`AshnScheme::compile`]).
     ///
     /// # Errors
     ///
-    /// Same as [`AshnScheme::compile`]; a deadline expiry aborts the
-    /// sub-scheme cascade immediately and sets [`CompileError::timed_out`].
+    /// Same as [`AshnScheme::compile`].
     pub fn compile_with_search(
         &self,
         target: WeylPoint,
@@ -297,25 +292,18 @@ impl AshnScheme {
                 SubScheme::Nd => ashn_nd(self.h_ratio, x, y, z)
                     .map(|(tau, d)| (tau, d, SubScheme::Nd))
                     .map_err(|e| e.to_string()),
-                SubScheme::EaPlus => {
-                    match ashn_ea_search(self.h_ratio, EaVariant::Plus, x, y, z, search) {
-                        Ok((tau, d)) => Ok((tau, d, SubScheme::EaPlus)),
-                        Err(EaError::DeadlineExceeded) => return Err(self.timed_out(p)),
-                        Err(e) => Err(e.to_string()),
-                    }
-                }
+                SubScheme::EaPlus => ashn_ea_search(self.h_ratio, EaVariant::Plus, x, y, z, search)
+                    .map(|(tau, d)| (tau, d, SubScheme::EaPlus))
+                    .map_err(|e| e.to_string()),
                 SubScheme::EaMinus => {
-                    match ashn_ea_search(self.h_ratio, EaVariant::Minus, x, y, z, search) {
-                        Ok((tau, d)) => Ok((tau, d, SubScheme::EaMinus)),
-                        Err(EaError::DeadlineExceeded) => return Err(self.timed_out(p)),
-                        Err(e) => Err(e.to_string()),
-                    }
+                    ashn_ea_search(self.h_ratio, EaVariant::Minus, x, y, z, search)
+                        .map(|(tau, d)| (tau, d, SubScheme::EaMinus))
+                        .map_err(|e| e.to_string())
                 }
                 SubScheme::NdExt => {
                     return self.try_nd_ext(p).map_err(|e| CompileError {
                         target: p,
                         reason: format!("all sub-schemes failed; last: {e}"),
-                        timed_out: false,
                     });
                 }
                 SubScheme::Identity => unreachable!(),
@@ -344,16 +332,7 @@ impl AshnScheme {
         Err(CompileError {
             target: p,
             reason: last_reason,
-            timed_out: false,
         })
-    }
-
-    fn timed_out(&self, p: WeylPoint) -> CompileError {
-        CompileError {
-            target: p,
-            reason: EaError::DeadlineExceeded.to_string(),
-            timed_out: true,
-        }
     }
 
     fn try_nd_ext(&self, p: WeylPoint) -> Result<AshnPulse, String> {

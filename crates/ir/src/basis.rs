@@ -83,22 +83,15 @@ pub struct BasisMetadata {
 
 /// Search-effort hints for [`Basis::synthesize_with_effort`].
 ///
-/// The default value (`attempt = 0`, no deadline) asks for the basis's
-/// normal synthesis; retry layers raise `attempt` on each re-try so bases
-/// with a numerical search can widen it (e.g. AshN's EA escalation rounds),
-/// and set `deadline` to bound wall-clock time. Bases without a numerical
-/// search ignore the hints entirely.
+/// The default value (`attempt = 0`) asks for the basis's normal
+/// synthesis; retry layers raise `attempt` on each re-try so bases with a
+/// numerical search can widen it (e.g. AshN's EA escalation rounds). Bases
+/// without a numerical search ignore the hint entirely.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SynthEffort {
     /// Zero-based retry attempt; attempt `k > 0` should search wider than
     /// attempt `k − 1`, deterministically.
     pub attempt: u32,
-    /// Seed for any attempt-specific jitter, derived by the retry layer
-    /// from the request so retries are replayable.
-    pub jitter_seed: u64,
-    /// Absolute wall-clock deadline; expiry surfaces as
-    /// [`SynthError::DeadlineExceeded`].
-    pub deadline: Option<std::time::Instant>,
 }
 
 /// A native two-qubit gate set with per-basis synthesis rules.
@@ -130,10 +123,9 @@ pub trait Basis {
     fn synthesize(&self, u: &CMat) -> Result<Circuit, SynthError>;
 
     /// [`Basis::synthesize`] with explicit search effort. The default
-    /// implementation ignores the hints (correct for closed-form bases,
+    /// implementation ignores the hint (correct for closed-form bases,
     /// whose synthesis cannot fail numerically); bases with a numerical
-    /// search should widen their multistart for `effort.attempt > 0` and
-    /// respect `effort.deadline`.
+    /// search should widen their multistart for `effort.attempt > 0`.
     ///
     /// The cache-coherence contract: for any effort, a success must
     /// realize the same target (caches may store circuits produced at any
@@ -141,8 +133,7 @@ pub trait Basis {
     ///
     /// # Errors
     ///
-    /// Same as [`Basis::synthesize`], plus
-    /// [`SynthError::DeadlineExceeded`] when the deadline expires.
+    /// Same as [`Basis::synthesize`].
     fn synthesize_with_effort(&self, u: &CMat, effort: SynthEffort) -> Result<Circuit, SynthError> {
         let _ = effort;
         self.synthesize(u)

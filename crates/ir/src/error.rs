@@ -120,13 +120,6 @@ pub enum SynthError {
         /// The panic message, when one was available.
         detail: String,
     },
-    /// The per-request deadline budget expired before synthesis finished.
-    DeadlineExceeded {
-        /// Basis that was synthesizing.
-        basis: String,
-        /// What stage of the search ran out of budget.
-        detail: String,
-    },
 }
 
 impl fmt::Display for SynthError {
@@ -144,9 +137,6 @@ impl fmt::Display for SynthError {
             SynthError::Ir(e) => write!(f, "ir error during synthesis: {e}"),
             SynthError::WorkerPanic { detail } => {
                 write!(f, "synthesis worker panicked: {detail}")
-            }
-            SynthError::DeadlineExceeded { basis, detail } => {
-                write!(f, "{basis} synthesis deadline exceeded: {detail}")
             }
         }
     }

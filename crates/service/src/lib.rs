@@ -14,7 +14,10 @@
 //!   deduplicated *batch-wide* before any EA search runs, solved on the
 //!   workspace's one deterministic worker pool (`ashn_core::par`), and
 //!   served per request by re-dressing the class solutions. Batch output is bit-identical at
-//!   any worker count.
+//!   any worker count. Two settings govern failures: cold synthesis gets
+//!   up to [`CompileService::max_attempts`] escalating attempts, and every
+//!   served circuit is verified at [`CompileService::verify_tol`]; a
+//!   target that still fails degrades to an exact CNOT decomposition.
 //! - The facade: `ashn::Compiler` keeps its memo store in a
 //!   [`ShardedCache`] (a private one-shard cache by default), and
 //!   `ashn::Compiler::with_shared_cache` hands it a process-wide one, so
@@ -41,11 +44,9 @@ pub mod service;
 pub mod sharded;
 
 pub use ashn_opt::{OptLevel, OPT_ACCEPT_TOL};
-pub use ashn_synth::resilience::RetryPolicy;
 pub use error::ServiceError;
 pub use persist::{LoadOutcome, LoadReport, HEADER};
 pub use service::{
-    BatchCompileResult, BatchResult, CompileRequest, CompileResult, CompileService, Resilience,
-    ServiceStats,
+    BatchCompileResult, BatchResult, CompileRequest, CompileResult, CompileService, ServiceStats,
 };
 pub use sharded::{ShardedCache, DEFAULT_CAPACITY, DEFAULT_SHARDS};

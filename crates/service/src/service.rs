@@ -32,13 +32,20 @@
 //! scheduling — the full
 //! synthesize → route → opt → schedule pipeline behind a
 //! [`CompileRequest`]/[`CompileResult`] API.
+//!
+//! Failures are handled per target by two settings and one fixed tier.
+//! Cold synthesis gets up to [`CompileService::max_attempts`] escalating
+//! attempts with panics contained; every served circuit is verified at
+//! [`CompileService::verify_tol`], and a failing serve quarantines the
+//! cache entry it came from and resynthesizes privately; whatever still
+//! fails degrades to an exact CNOT decomposition, which is never cached.
 
 use crate::error::ServiceError;
 use crate::sharded::ShardedCache;
 use ashn_core::par::{describe_panic, parallel_map_isolated, resolve_workers, TaskPanic};
 use ashn_gates::kak::weyl_coordinates4;
 use ashn_gates::weyl::WeylPoint;
-use ashn_ir::{Basis, Circuit};
+use ashn_ir::{Basis, Circuit, SynthEffort, SynthError};
 use ashn_math::{CMat, Mat4};
 use ashn_opt::{OptLevel, OptStats};
 use ashn_qv::{stamp_noise, QvNoise};
@@ -46,43 +53,11 @@ use ashn_route::{Grid, LookaheadRouter, RouteOp};
 use ashn_synth::cache::{serve_from_entry, ClassEntry, ClassKey, ClassStore, Lookup};
 use ashn_synth::circuit2::TwoQubitCircuit;
 use ashn_synth::cnot_basis::try_decompose_cnot;
-use ashn_synth::resilience::{synthesize_resilient, RetryPolicy};
 use ashn_synth::retarget::{rule_key, standard_rules, RuleSet};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Resilience knobs for a [`CompileService`]: retry/deadline policy for
-/// cold synthesis and the post-serve verification tier. Behind both sits
-/// the exact-CNOT degradation tier, which is always on and lives only
-/// here: a target whose synthesis, verification, or serve fails is
-/// degraded per target, never cached.
-///
-/// The default — one attempt, no deadline, verification at `1e-3` —
-/// leaves the fault-free pipeline bit-identical to a service without
-/// resilience: verification only *reads* served circuits, degradation
-/// only engages on failure, and retries never run when the first attempt
-/// succeeds.
-#[derive(Clone, Copy, Debug)]
-pub struct Resilience {
-    /// Retry/deadline policy applied to every cold synthesis and
-    /// quarantine resynthesis.
-    pub retry: RetryPolicy,
-    /// Verify every served circuit against its target at this Frobenius
-    /// tolerance; a failing cache entry is quarantined (evicted + counted)
-    /// and the target resynthesized. `None` disables the tier.
-    pub verify_tol: Option<f64>,
-}
-
-impl Default for Resilience {
-    fn default() -> Self {
-        Self {
-            retry: RetryPolicy::default(),
-            verify_tol: Some(1e-3),
-        }
-    }
-}
 
 /// One circuit to compile, with its pipeline options.
 #[derive(Clone, Debug)]
@@ -163,7 +138,7 @@ enum Tier {
     /// representative, or its stored entry had drifted).
     Cold,
     /// Served by the exact CNOT degradation tier after the requested basis
-    /// failed, timed out, or panicked.
+    /// failed or panicked.
     Degraded,
     /// Cold synthesis of the class failed.
     Failed,
@@ -200,12 +175,13 @@ pub struct ServiceStats {
     /// Targets whose class failed to synthesize.
     pub failed: u64,
     /// Targets served by the exact CNOT degradation tier after the
-    /// requested basis failed, timed out, or panicked.
+    /// requested basis failed or panicked.
     pub degraded: u64,
     /// Served circuits that failed post-serve verification: the cache
     /// entry was evicted and the target resynthesized (counted per serve).
     pub quarantined: u64,
-    /// Extra synthesis attempts consumed by the retry policy.
+    /// Extra synthesis attempts consumed by retries
+    /// ([`CompileService::max_attempts`]).
     pub retries: u64,
     /// Worker panics contained by the batch engine (isolated to their item
     /// and repaired or degraded — never propagated).
@@ -271,6 +247,9 @@ pub struct BatchCompileResult {
 
 /// One unique Weyl class in a batch and how it got its solution.
 struct UniqueClass {
+    /// The cache key the solution lives under: the numeric class key, or
+    /// the namespaced rule key once the rule tier covers the class, so a
+    /// quarantine evicts the entry the serve actually read.
     key: ClassKey,
     /// Index of the representative target (first occurrence).
     rep: usize,
@@ -320,7 +299,8 @@ pub struct CompileService<B> {
     basis: B,
     cache: ShardedCache,
     workers: usize,
-    resilience: Resilience,
+    max_attempts: u32,
+    verify_tol: f64,
     rules: Option<Arc<RuleSet>>,
 }
 
@@ -341,7 +321,8 @@ impl<B: Basis + Sync> CompileService<B> {
             basis,
             cache,
             workers: 1,
-            resilience: Resilience::default(),
+            max_attempts: 1,
+            verify_tol: 1e-3,
             rules: Some(standard_rules()),
         }
     }
@@ -359,17 +340,24 @@ impl<B: Basis + Sync> CompileService<B> {
         self.rules.as_deref()
     }
 
-    /// Overrides the resilience policy (retries, deadline budget, the CNOT
-    /// degradation tier, and post-serve verification).
+    /// Gives every cold synthesis, and every resynthesis after a
+    /// quarantine, up to `max_attempts` escalating attempts (default 1;
+    /// `0` counts as 1). Attempt `k` asks the basis for
+    /// [`SynthEffort::attempt`]` = k`, so a numerical search widens instead
+    /// of repeating; bases without one ignore the hint.
     #[must_use]
-    pub fn resilience(mut self, resilience: Resilience) -> Self {
-        self.resilience = resilience;
+    pub fn max_attempts(mut self, max_attempts: u32) -> Self {
+        self.max_attempts = max_attempts.max(1);
         self
     }
 
-    /// The active resilience policy.
-    pub fn resilience_policy(&self) -> &Resilience {
-        &self.resilience
+    /// Verifies every served circuit against its target at this Frobenius
+    /// tolerance (default `1e-3`). A failing serve evicts the cache entry
+    /// it came from, counts a quarantine, and resynthesizes the target.
+    #[must_use]
+    pub fn verify_tol(mut self, verify_tol: f64) -> Self {
+        self.verify_tol = verify_tol;
+        self
     }
 
     /// Fans batches over `workers` scoped threads (`0` = the pool's
@@ -486,8 +474,8 @@ impl<B: Basis + Sync> CompileService<B> {
             });
             if let Some((rule, coords)) = ruled {
                 let entry = rule.entry(targets[class.rep]);
-                self.cache
-                    .store(rule_key(&self.basis, &rule.label, coords), entry.clone());
+                class.key = rule_key(&self.basis, &rule.label, coords);
+                self.cache.store(class.key.clone(), entry.clone());
                 class.solution = Solution::Rule(entry);
                 ruled_count += 1;
             }
@@ -522,13 +510,12 @@ impl<B: Basis + Sync> CompileService<B> {
         );
 
         // Phase 4: cold synthesis of the representatives over the worker
-        // pool, panic-isolated and driven by the retry policy. A failure
+        // pool, panic-isolated and retried up to `max_attempts`. A failure
         // stays a failure here: a degraded CNOT circuit must never be
         // cached (or served to other targets) under the requested basis's
         // class key — degradation happens per target at serve time. Each
-        // job is a pure function of its target and the (fixed) policy, so
+        // job is a pure function of its target and the (fixed) settings, so
         // results are bit-identical at any worker count.
-        let cold_policy = &self.resilience.retry;
         let cold_span = telemetry.span("service.cold_synth");
         // A cold job resolves to (entry, attempts) or a rendered failure;
         // the outer layer is the task-boundary panic isolation.
@@ -536,16 +523,17 @@ impl<B: Basis + Sync> CompileService<B> {
         let solved: Vec<Result<ColdOutcome, TaskPanic>> =
             parallel_map_isolated(self.workers, cold.len(), |j| {
                 let rep = unique[cold[j]].rep;
-                let outcome = synthesize_resilient(&self.basis, targets[rep], cold_policy)
+                let (circuit, attempts) = self
+                    .synthesize_cold(targets[rep])
                     .map_err(|e| e.to_string())?;
-                let core = TwoQubitCircuit::try_from(outcome.circuit)
+                let core = TwoQubitCircuit::try_from(circuit)
                     .map_err(|e| format!("synthesis output not a two-qubit circuit: {e}"))?;
                 Ok((
                     ClassEntry {
                         target: targets[rep].clone(),
                         circuit: core,
                     },
-                    outcome.attempts,
+                    attempts,
                 ))
             });
 
@@ -660,22 +648,21 @@ impl<B: Basis + Sync> CompileService<B> {
         // must realize its target at tolerance; a failure quarantines the
         // cache entry and resynthesizes.
         let poisoned = ashn_math::failpoint!("service::cache::serve");
-        if let Some(tol) = self.resilience.verify_tol {
-            let err = if poisoned {
-                f64::INFINITY
-            } else {
-                circuit.error(target)
-            };
-            // NaN-safe: a corrupted entry can make the error NaN, which
-            // must quarantine, not pass a `>` comparison.
-            if err.is_nan() || err > tol {
-                return self.quarantine(
-                    target,
-                    &class.key,
-                    &format!("served circuit verification error {err:.2e} exceeds {tol:.2e}"),
-                    acct,
-                );
-            }
+        let err = if poisoned {
+            f64::INFINITY
+        } else {
+            circuit.error(target)
+        };
+        // NaN-safe: a corrupted entry can make the error NaN, which must
+        // quarantine, not pass a `>` comparison.
+        let tol = self.verify_tol;
+        if err.is_nan() || err > tol {
+            return self.quarantine(
+                target,
+                &class.key,
+                &format!("served circuit verification error {err:.2e} exceeds {tol:.2e}"),
+                acct,
+            );
         }
         (tier, Ok(circuit))
     }
@@ -701,26 +688,61 @@ impl<B: Basis + Sync> CompileService<B> {
     ) -> (Tier, Result<Circuit, ServiceError>) {
         self.cache.evict(key);
         acct.quarantined += 1;
-        match synthesize_resilient(&self.basis, target, &self.resilience.retry) {
-            Ok(out) => {
-                acct.retries += u64::from(out.attempts.saturating_sub(1));
-                if let Some(tol) = self.resilience.verify_tol {
-                    let err = out.circuit.error(target);
-                    if err.is_nan() || err > tol {
-                        return self.degrade(
-                            target,
-                            ServiceError::Synth {
-                                detail: format!(
-                                    "resynthesis after quarantine ({reason}) still fails \
-                                     verification: error {err:.2e} exceeds {tol:.2e}"
-                                ),
-                            },
-                        );
-                    }
+        match self.synthesize_cold(target) {
+            Ok((circuit, attempts)) => {
+                acct.retries += u64::from(attempts - 1);
+                let err = circuit.error(target);
+                let tol = self.verify_tol;
+                if err.is_nan() || err > tol {
+                    return self.degrade(
+                        target,
+                        ServiceError::Synth {
+                            detail: format!(
+                                "resynthesis after quarantine ({reason}) still fails \
+                                 verification: error {err:.2e} exceeds {tol:.2e}"
+                            ),
+                        },
+                    );
                 }
-                (Tier::Cold, Ok(out.circuit))
+                (Tier::Cold, Ok(circuit))
             }
             Err(e) => self.degrade(target, e.into()),
+        }
+    }
+
+    /// Synthesizes `u` on the service's basis with up to `max_attempts`
+    /// escalating attempts, returning the circuit and the attempts it took.
+    ///
+    /// Attempt `k` runs with [`SynthEffort::attempt`]` = k`; the basis
+    /// derives any jitter from `k` alone, so a retry schedule replays
+    /// exactly. A panic inside the basis is caught and retried as a
+    /// [`SynthError::WorkerPanic`]. An invalid target fails at once, since
+    /// retrying cannot fix it; otherwise the last attempt's error surfaces.
+    /// Degradation is not done here: it happens per target at serve time,
+    /// so a CNOT circuit is never cached under this basis's key.
+    fn synthesize_cold(&self, u: &CMat) -> Result<(Circuit, u32), SynthError> {
+        let telemetry = ashn_telemetry::current();
+        let mut attempt = 0;
+        loop {
+            let effort = SynthEffort { attempt };
+            let err = match catch_unwind(AssertUnwindSafe(|| {
+                self.basis.synthesize_with_effort(u, effort)
+            })) {
+                Ok(Ok(circuit)) => return Ok((circuit, attempt + 1)),
+                Ok(Err(e @ SynthError::InvalidTarget { .. })) => return Err(e),
+                Ok(Err(e)) => e,
+                Err(payload) => {
+                    telemetry.add("synth.resilience.panics_caught", 1);
+                    SynthError::WorkerPanic {
+                        detail: describe_panic(payload.as_ref()),
+                    }
+                }
+            };
+            attempt += 1;
+            if attempt >= self.max_attempts {
+                return Err(err);
+            }
+            telemetry.add("synth.resilience.retries", 1);
         }
     }
 
@@ -1110,4 +1132,116 @@ fn validate(req: &CompileRequest) -> Result<Grid, ServiceError> {
         return Err(ServiceError::InvalidRequest { detail });
     }
     Ok(grid)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ashn_math::randmat::haar_unitary;
+    use ashn_synth::basis::{AshnBasis, CnotBasis};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// A basis that fails (or panics) a fixed number of times before
+    /// delegating to CNOT synthesis.
+    struct Flaky {
+        fail_first: u32,
+        panic_instead: bool,
+        calls: AtomicU32,
+    }
+
+    impl Flaky {
+        fn new(fail_first: u32, panic_instead: bool) -> Self {
+            Self {
+                fail_first,
+                panic_instead,
+                calls: AtomicU32::new(0),
+            }
+        }
+    }
+
+    impl Basis for Flaky {
+        fn name(&self) -> String {
+            "flaky".into()
+        }
+
+        fn synthesize(&self, u: &CMat) -> Result<Circuit, SynthError> {
+            let n = self.calls.fetch_add(1, Ordering::SeqCst);
+            if n < self.fail_first {
+                if self.panic_instead {
+                    panic!("flaky basis blew up on call {n}");
+                }
+                return Err(SynthError::Convergence {
+                    basis: "flaky".into(),
+                    detail: format!("transient failure {n}"),
+                });
+            }
+            CnotBasis.synthesize(u)
+        }
+
+        fn expected_entanglers(&self, u: &CMat) -> usize {
+            CnotBasis.expected_entanglers(u)
+        }
+    }
+
+    fn target() -> CMat {
+        let mut rng = StdRng::seed_from_u64(91);
+        haar_unitary(4, &mut rng)
+    }
+
+    #[test]
+    fn first_try_success_matches_plain_synthesis() {
+        let u = target();
+        let direct = CnotBasis.synthesize(&u).unwrap();
+        let (circuit, attempts) = CompileService::new(CnotBasis).synthesize_cold(&u).unwrap();
+        assert_eq!(attempts, 1);
+        assert_eq!(format!("{circuit:?}"), format!("{direct:?}"));
+    }
+
+    #[test]
+    fn transient_errors_are_retried_until_success() {
+        let u = target();
+        let service = CompileService::new(Flaky::new(2, false)).max_attempts(4);
+        let (circuit, attempts) = service.synthesize_cold(&u).unwrap();
+        assert_eq!(attempts, 3);
+        assert!(circuit.error(&u) < 1e-9);
+    }
+
+    #[test]
+    fn panics_are_contained_and_retried() {
+        let u = target();
+        let service = CompileService::new(Flaky::new(1, true)).max_attempts(2);
+        let (circuit, attempts) = service.synthesize_cold(&u).unwrap();
+        assert_eq!(attempts, 2);
+        assert!(circuit.error(&u) < 1e-9);
+    }
+
+    #[test]
+    fn exhausted_retries_surface_the_last_error() {
+        let u = target();
+        let service = CompileService::new(Flaky::new(u32::MAX, true)).max_attempts(2);
+        let err = service.synthesize_cold(&u).unwrap_err();
+        assert!(matches!(err, SynthError::WorkerPanic { .. }), "{err}");
+    }
+
+    #[test]
+    fn invalid_targets_fail_fast_without_retries_or_fallback() {
+        let junk = CMat::zeros(4, 4);
+        let service = CompileService::new(Flaky::new(0, false)).max_attempts(5);
+        let err = service.synthesize_cold(&junk).unwrap_err();
+        assert!(matches!(err, SynthError::InvalidTarget { .. }));
+        assert_eq!(service.basis().calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn ashn_escalation_attempts_stay_deterministic() {
+        let u = target();
+        let service = CompileService::new(AshnBasis::ideal()).max_attempts(3);
+        let (a, a_attempts) = service.synthesize_cold(&u).unwrap();
+        let (b, b_attempts) = service.synthesize_cold(&u).unwrap();
+        assert_eq!(a_attempts, b_attempts);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert!(a.error(&u) < 1e-5);
+    }
 }

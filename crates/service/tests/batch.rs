@@ -256,6 +256,27 @@ fn ashn_standard_compiles_a_nine_qubit_qft() {
     }
 }
 
+/// `canonical(0.56, 0.56, 0.48)` sits on the `x = y` edge, where the
+/// first AshN(r = 1.1) EA multistart misses; the escalation rounds of
+/// later attempts find the single pulse.
+#[test]
+fn escalation_rescues_an_ashn_class_the_first_attempt_misses() {
+    let target = ashn_gates::two::canonical(0.56, 0.56, 0.48);
+    let service = CompileService::new(AshnBasis::with_cutoff(0.0, 1.1)).max_attempts(3);
+    let batch = service.synthesize_batch(std::slice::from_ref(&target));
+    assert!(!batch.degraded[0], "the class must not fall back to CNOT");
+    assert!(
+        batch.stats.retries > 0,
+        "the first attempt was expected to miss"
+    );
+    let circuit = batch.circuits[0]
+        .as_ref()
+        .expect("escalation must rescue the class");
+    assert_eq!(circuit.entangler_count(), 1);
+    let err = circuit.error(&target);
+    assert!(err <= 1e-6, "served error {err:.2e}");
+}
+
 #[test]
 fn malformed_requests_fail_alone_without_poisoning_the_batch() {
     let mut rng = StdRng::seed_from_u64(0xbad);

@@ -15,8 +15,9 @@ use ashn_ir::{Basis, Circuit, Instruction, SynthError};
 use ashn_math::fault::{self, FaultMode};
 use ashn_math::randmat::haar_unitary;
 use ashn_math::CMat;
-use ashn_service::{CompileRequest, CompileService, Resilience, RetryPolicy, ShardedCache};
-use ashn_synth::basis::AshnBasis;
+use ashn_service::{CompileRequest, CompileService, ShardedCache};
+use ashn_synth::basis::{AshnBasis, CzBasis};
+use ashn_synth::ClassKey;
 use common::{dressed, fingerprint, ExactBasis};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -69,15 +70,6 @@ fn chaos_targets(seed: u64) -> Vec<CMat> {
     pool
 }
 
-fn chaos_resilience() -> Resilience {
-    Resilience {
-        retry: RetryPolicy::default()
-            .with_attempts(3)
-            .with_retry_seed(0x5eed),
-        verify_tol: Some(1e-9),
-    }
-}
-
 /// The acceptance-criteria drill: synthesis failures, worker panics, and
 /// cache corruption injected at 10–30% rates over 240 targets. Every
 /// request must resolve to a verified circuit, with degradation flagged —
@@ -102,7 +94,8 @@ fn chaos_batch_survives_mixed_fault_rates() {
     let targets = chaos_targets(0xc4a05);
     let service = CompileService::with_cache(FlakyExact, ShardedCache::new())
         .workers(4)
-        .resilience(chaos_resilience());
+        .max_attempts(3)
+        .verify_tol(1e-9);
     let batch = service.synthesize_batch(&targets);
 
     // Chaos actually happened.
@@ -162,7 +155,8 @@ fn chaos_compile_batch_flags_degraded_requests() {
         .collect();
     let service = CompileService::with_cache(FlakyExact, ShardedCache::new())
         .workers(4)
-        .resilience(chaos_resilience());
+        .max_attempts(3)
+        .verify_tol(1e-9);
     let batch = service.compile_batch(&requests);
     assert!(fault::fires("chaos::basis::synthesize") > 0);
     fault::reset();
@@ -198,7 +192,8 @@ fn zero_faults_output_is_bit_identical_across_worker_counts() {
     for workers in [1usize, 4, 16] {
         let service = CompileService::with_cache(FlakyExact, ShardedCache::new())
             .workers(workers)
-            .resilience(chaos_resilience());
+            .max_attempts(3)
+            .verify_tol(1e-9);
         let batch = service.synthesize_batch(&targets);
         assert_eq!(batch.stats.degraded, 0);
         assert_eq!(batch.stats.quarantined, 0);
@@ -243,10 +238,8 @@ fn ea_nonconvergence_degrades_ashn_targets_gracefully() {
     }
     let service = CompileService::with_cache(AshnBasis::with_cutoff(0.0, 1.1), ShardedCache::new())
         .workers(2)
-        .resilience(Resilience {
-            retry: RetryPolicy::default().with_attempts(2),
-            verify_tol: Some(1e-3),
-        });
+        .max_attempts(2)
+        .verify_tol(1e-3);
     let batch = service.synthesize_batch(&targets);
     assert!(
         fault::fires("core::ea::convergence") > 0,
@@ -317,7 +310,8 @@ fn poisoned_serves_quarantine_and_still_verify() {
     let cache = ShardedCache::new();
     let service = CompileService::with_cache(ExactBasis, cache.clone())
         .workers(1)
-        .resilience(chaos_resilience());
+        .max_attempts(3)
+        .verify_tol(1e-9);
 
     // Warm the cache, then poison every subsequent serve-verification.
     service.synthesize_batch(&targets);
@@ -338,6 +332,50 @@ fn poisoned_serves_quarantine_and_still_verify() {
         let circuit = circuit.as_ref().expect("quarantine path must recover");
         assert!(circuit.error(target) <= 1e-9);
     }
+}
+
+/// A rule-tier serve lives under the namespaced rule key: quarantining it
+/// must evict that entry, not the numeric entry a rule-free service stored
+/// for the same class.
+#[test]
+fn rule_tier_quarantine_evicts_the_rule_entry() {
+    let _guard = fault::exclusive();
+    fault::reset();
+
+    let target = ashn_gates::two::cnot();
+    let cache = ShardedCache::new();
+    let keys = |cache: &ShardedCache| -> Vec<ClassKey> {
+        cache.export_entries().into_iter().map(|(k, _)| k).collect()
+    };
+    CompileService::with_cache(CzBasis, cache.clone())
+        .rules(None)
+        .synthesize_batch(std::slice::from_ref(&target));
+    let numeric = keys(&cache);
+    assert_eq!(
+        numeric.len(),
+        1,
+        "the rule-free warm-up stores one numeric entry"
+    );
+
+    fault::configure("service::cache::serve", FaultMode::Always);
+    let batch = CompileService::with_cache(CzBasis, cache.clone())
+        .synthesize_batch(std::slice::from_ref(&target));
+    fault::reset();
+
+    assert_eq!(batch.stats.quarantined, 1);
+    let circuit = batch.circuits[0]
+        .as_ref()
+        .expect("quarantine path must recover");
+    assert!(circuit.error(&target) <= 1e-9);
+    let left = keys(&cache);
+    assert!(
+        left.contains(&numeric[0]),
+        "quarantine evicted the numeric entry the serve never read"
+    );
+    assert!(
+        !left.iter().any(|k| k.params.starts_with("rule[")),
+        "the rule entry the serve read survived its quarantine"
+    );
 }
 
 fn random_model(n: usize, layers: usize, rng: &mut StdRng) -> Circuit {

@@ -10,7 +10,7 @@ use ashn_gates::kak::weyl_coordinates;
 use ashn_ir::Basis;
 use ashn_math::randmat::haar_unitary;
 use ashn_math::CMat;
-use ashn_service::{CompileService, LoadOutcome, Resilience, RetryPolicy, ShardedCache, HEADER};
+use ashn_service::{CompileService, LoadOutcome, ShardedCache, HEADER};
 use ashn_synth::basis::AshnBasis;
 use ashn_synth::cache::{CachedBasis, ClassKey, ClassStore};
 use common::ExactBasis;
@@ -246,10 +246,7 @@ proptest! {
         // verification tier must only ever return correct circuits.
         let service = CompileService::with_cache(ExactBasis, restored)
             .workers(2)
-            .resilience(Resilience {
-                retry: RetryPolicy::default(),
-                verify_tol: Some(1e-9),
-            });
+            .verify_tol(1e-9);
         let batch = service.synthesize_batch(targets);
         for (target, circuit) in targets.iter().zip(&batch.circuits) {
             let circuit = circuit.as_ref().expect("ExactBasis always synthesizes");

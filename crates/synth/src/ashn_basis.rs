@@ -29,14 +29,13 @@ pub fn decompose_ashn(u: &CMat, scheme: &AshnScheme) -> Result<AshnSynthesis, Co
     build_synthesis(u, scheme.compile(p)?)
 }
 
-/// [`decompose_ashn`] with explicit EA search effort (escalation rounds,
-/// jitter seed, deadline). With `search == EaSearch { workers, ..default }`
+/// [`decompose_ashn`] with explicit EA search effort (fan-out and
+/// escalation rounds). With `search == EaSearch { workers, ..default }`
 /// this is bit-identical to [`decompose_ashn`].
 ///
 /// # Errors
 ///
-/// Propagates [`CompileError`] from the pulse compiler; `timed_out` is set
-/// when the search deadline expired.
+/// Propagates [`CompileError`] from the pulse compiler.
 pub fn decompose_ashn_with_search(
     u: &CMat,
     scheme: &AshnScheme,

@@ -6,7 +6,7 @@
 //! scoring, and the `ashn::Compiler` pipeline are generic over the native
 //! gate set. New bases (B-gate, iSWAP, …) are one `impl Basis` away.
 
-use crate::ashn_basis::{decompose_ashn, decompose_ashn_with_search};
+use crate::ashn_basis::decompose_ashn_with_search;
 use crate::cnot_basis::{cnot_count, decompose_cnot, to_cz_basis, to_ecr_basis, CZ_DURATION};
 use crate::sqisw_basis::{decompose_sqisw, sqisw_count, SQISW_DURATION};
 use ashn_core::ea::EaSearch;
@@ -197,41 +197,23 @@ impl Basis for AshnBasis {
     }
 
     fn synthesize(&self, u: &CMat) -> Result<Circuit, SynthError> {
-        check_two_qubit(u, "AshN")?;
-        decompose_ashn(u, &self.scheme)
-            .map(|s| s.circuit.into())
-            .map_err(|e| SynthError::Pulse {
-                basis: self.name(),
-                detail: e.to_string(),
-            })
+        self.synthesize_with_effort(u, SynthEffort::default())
     }
 
-    // Retry attempt `k` widens the EA multistart by `k` escalation rounds
-    // seeded from `jitter_seed`; the deadline aborts between EA waves. With
-    // the default effort this is bit-identical to `synthesize`, so cached
+    // Retry attempt `k` widens the EA multistart by `k` escalation rounds.
+    // The default effort is bit-identical to `decompose_ashn`, so cached
     // circuits stay reproducible.
     fn synthesize_with_effort(&self, u: &CMat, effort: SynthEffort) -> Result<Circuit, SynthError> {
         check_two_qubit(u, "AshN")?;
         let search = EaSearch {
             workers: self.scheme.workers(),
             extra_rounds: effort.attempt,
-            jitter_seed: effort.jitter_seed,
-            deadline: effort.deadline,
         };
         decompose_ashn_with_search(u, &self.scheme, &search)
             .map(|s| s.circuit.into())
-            .map_err(|e| {
-                if e.timed_out {
-                    SynthError::DeadlineExceeded {
-                        basis: self.name(),
-                        detail: e.to_string(),
-                    }
-                } else {
-                    SynthError::Pulse {
-                        basis: self.name(),
-                        detail: e.to_string(),
-                    }
-                }
+            .map_err(|e| SynthError::Pulse {
+                basis: self.name(),
+                detail: e.to_string(),
             })
     }
 

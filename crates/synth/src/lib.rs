@@ -38,7 +38,6 @@ pub mod csd;
 pub mod instantiate;
 pub mod multiplexor;
 pub mod qsd;
-pub mod resilience;
 pub mod resynth;
 pub mod retarget;
 pub mod sqisw_basis;
@@ -48,5 +47,4 @@ pub use basis::{AshnBasis, CnotBasis, CzBasis, EcrBasis, SqiswBasis};
 pub use cache::{
     serve_from_entry, CacheStats, CachedBasis, ClassEntry, ClassKey, ClassStore, Lookup, SynthCache,
 };
-pub use resilience::{synthesize_resilient, ResilientOutcome, RetryPolicy};
 pub use retarget::{standard_rules, GateSetRegistry, RuleSet};

@@ -57,8 +57,8 @@ pub type SynthStats = ashn_synth::cache::CacheStats;
 /// Every synthesis goes through one memo store, a [`ShardedCache`]: a
 /// private one-shard cache of 256 classes unless
 /// [`Compiler::with_shared_cache`] installs a process-wide one. Callers who
-/// need retries and graceful degradation use
-/// `ashn_service::CompileService` with its `Resilience` policy.
+/// need retries, serve verification and graceful degradation use
+/// `ashn_service::CompileService` (`max_attempts`, `verify_tol`).
 pub struct Compiler {
     /// The plain basis; the memo layer is applied per [`Compiler::compile`]
     /// call, so swapping the basis or the cache never re-wraps anything.
