@@ -5,7 +5,7 @@
 //!
 //! 1. **Per-serve fast tier.** CX↔CZ↔ECR-family known-gate traffic
 //!    (cycled CNOT / CZ / ECR) served per-target by the rule tier
-//!    (`serve_rule_tier`) vs the target basis's numeric synthesis path,
+//!    (`RuleSet::serve`) vs the target basis's numeric synthesis path,
 //!    for every registered target set. Every rule serve is verified at
 //!    `1e-12` before timing. Asserted: every target set speeds up ≥4x,
 //!    and the family traffic hits ≥50x on at least one registered target
@@ -31,8 +31,7 @@ use ashn_math::randmat::haar_unitary;
 use ashn_math::CMat;
 use ashn_service::{CompileService, ShardedCache};
 use ashn_synth::basis::{CnotBasis, CzBasis, EcrBasis, SqiswBasis};
-use ashn_synth::cache::SynthCache;
-use ashn_synth::retarget::{serve_rule_tier, standard_rules};
+use ashn_synth::retarget::standard_rules;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -65,9 +64,9 @@ fn fast_tier_row(basis: &dyn Basis, iters_numeric: usize, iters_rule: usize) -> 
     let rules = standard_rules();
 
     // Exactness first: every rule serve realizes its gate at 1e-12.
-    let store = SynthCache::default();
     for (u, &c) in traffic.iter().zip(&coords) {
-        let circuit = serve_rule_tier(rules.as_ref(), basis, &store, u, c)
+        let circuit = rules
+            .serve(basis, u, c)
             .unwrap_or_else(|| panic!("{} must rule-cover the CX family", basis.name()));
         let err = circuit.error(u);
         assert!(err < 1e-12, "{}: rule serve error {err:.2e}", basis.name());
@@ -82,13 +81,13 @@ fn fast_tier_row(basis: &dyn Basis, iters_numeric: usize, iters_rule: usize) -> 
     });
     // Coordinates are computed once per target during canonicalization —
     // before either tier is consulted — so the tier comparison excludes
-    // them, exactly as `CachedBasis`/the service invoke `serve_rule_tier`.
-    let store = SynthCache::default();
+    // them, exactly as `CachedBasis`/the service invoke `RuleSet::serve`.
     let mut i = 0usize;
     let rule_us = time_serves(iters_rule, &traffic, |u| {
         let c = coords[i % coords.len()];
         i += 1;
-        serve_rule_tier(rules.as_ref(), basis, &store, u, c)
+        rules
+            .serve(basis, u, c)
             .expect("rule serve")
             .instructions
             .len()

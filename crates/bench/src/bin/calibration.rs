@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seed", "shots"]);
     let seed: u64 = args.get("seed", 23);
     let shots: usize = args.get("shots", 3000);
     let mut rng = StdRng::seed_from_u64(seed);

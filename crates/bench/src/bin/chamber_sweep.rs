@@ -124,7 +124,7 @@ fn bases(attempts: u32) -> Vec<(&'static str, Runner)> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["step", "seed", "attempts"]);
     let step: f64 = args.get("step", 0.04);
     let seed: u64 = args.get("seed", 7);
     let attempts: u32 = args.get("attempts", 1);

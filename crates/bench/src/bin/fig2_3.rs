@@ -40,7 +40,7 @@ fn slice_map(h: f64, r: f64, n: usize) {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["resolution", "slice"]);
     let res: usize = args.get("resolution", 28);
     let slice_res: usize = args.get("slice", 24);
 

@@ -16,7 +16,7 @@ use ashn_gates::haar::sample_weyl_density;
 use ashn_sim::BatchRunner;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seed", "samples", "pulses", "workers"]);
     let seed: u64 = args.get("seed", 7);
     let samples: usize = args.get("samples", 30_000);
     let pulse_checks: usize = args.get("pulses", 40);

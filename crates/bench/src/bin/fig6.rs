@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["n", "targets", "restarts", "sweeps", "seed", "workers"]);
     let n: usize = args.get("n", 3);
     let targets: usize = args.get("targets", 6);
     let restarts: usize = args.get("restarts", 3);

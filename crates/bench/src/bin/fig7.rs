@@ -15,7 +15,7 @@ use ashn_qv::{compile_model, sample_model_circuit, score_compiled_many, GateSet,
 use ashn_sim::BatchRunner;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["circuits", "dmax", "seed", "workers"]);
     let circuits: usize = args.get("circuits", 20);
     let d_max: usize = args.get("dmax", 6);
     let seed: u64 = args.get("seed", 17);

@@ -16,7 +16,7 @@ use ashn_sim::BatchRunner;
 use std::f64::consts::PI;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["workers"]);
     let workers: usize = args.get("workers", 0);
     let runner = BatchRunner::new(1).with_workers(workers);
     println!("Table 1: gate parameters for special gate classes (h̃ = 0, units of g)\n");

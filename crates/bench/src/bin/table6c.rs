@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["seed"]);
     let seed: u64 = args.get("seed", 3);
     let mut rng = StdRng::seed_from_u64(seed);
 

@@ -13,7 +13,7 @@ use ashn_sim::BatchRunner;
 use std::f64::consts::PI;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["samples", "seed", "workers"]);
     let samples: usize = args.get("samples", 60_000);
     let seed: u64 = args.get("seed", 5);
     let workers: usize = args.get("workers", 0);

@@ -16,7 +16,9 @@
 //! | `chamber_sweep` | synthesis coverage of a Weyl-chamber grid per basis |
 //!
 //! Run e.g. `cargo run --release -p ashn-bench --bin fig7 -- --circuits 50`.
-//! All binaries accept `--seed` and print deterministic tables by default.
+//! Every binary prints deterministic tables by default; those that sample
+//! (all but `fig2_3` and `table1`) take `--seed`. A flag the binary does
+//! not read is rejected by name.
 //!
 //! The five `benches/` binaries (`scaling`, `service`, `retarget`,
 //! `telemetry`, `trajectory`) each assert a gate and share [`bench_args`]
@@ -28,16 +30,43 @@ use std::collections::HashMap;
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     values: HashMap<String, String>,
+    /// The flags the binary reads (`None`: parsed leniently, anything goes).
+    flags: Option<&'static [&'static str]>,
 }
 
 impl Args {
-    /// Parses the process arguments (`--key value` pairs).
+    /// Parses the process arguments (`--key value` pairs), accepting only
+    /// `flags`: the keys (without `--`) the binary reads.
     ///
     /// # Panics
     ///
-    /// Panics on malformed arguments, listing the offender.
-    pub fn parse() -> Self {
-        Self::parse_argv(false)
+    /// Panics on malformed arguments, listing the offender, and on any
+    /// flag outside `flags`, naming it — so a typo such as `--circuit`
+    /// fails instead of silently running the defaults. [`Args::get`] panics
+    /// when asked for a key outside `flags`.
+    pub fn parse(flags: &'static [&'static str]) -> Self {
+        Self::parse_strict(std::env::args().skip(1).collect(), flags)
+    }
+
+    fn parse_strict(argv: Vec<String>, flags: &'static [&'static str]) -> Self {
+        let mut args = Self::parse_argv(argv, false);
+        let mut unknown: Vec<String> = args
+            .values
+            .keys()
+            .filter(|key| !flags.contains(&key.as_str()))
+            .map(|key| format!("--{key}"))
+            .collect();
+        unknown.sort();
+        if !unknown.is_empty() {
+            let known: Vec<String> = flags.iter().map(|f| format!("--{f}")).collect();
+            panic!(
+                "unknown flag {}; this binary reads {}",
+                unknown.join(", "),
+                known.join(", ")
+            );
+        }
+        args.flags = Some(flags);
+        args
     }
 
     /// Like [`Args::parse`], but tolerates the bare flags `cargo bench`
@@ -46,12 +75,11 @@ impl Args {
     /// nothing) is treated as a valueless switch and skipped. The benches
     /// reach it through [`bench_args`].
     pub fn parse_lenient() -> Self {
-        Self::parse_argv(true)
+        Self::parse_argv(std::env::args().skip(1).collect(), true)
     }
 
-    fn parse_argv(lenient: bool) -> Self {
+    fn parse_argv(argv: Vec<String>, lenient: bool) -> Self {
         let mut values = HashMap::new();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < argv.len() {
             let key = match argv[i].strip_prefix("--") {
@@ -71,7 +99,10 @@ impl Args {
                 _ => panic!("missing value for --{key}"),
             }
         }
-        Self { values }
+        Self {
+            values,
+            flags: None,
+        }
     }
 
     /// Typed lookup with a default.
@@ -79,6 +110,9 @@ impl Args {
     where
         T::Err: std::fmt::Debug,
     {
+        if let Some(flags) = self.flags {
+            assert!(flags.contains(&key), "--{key} is read but not declared");
+        }
         self.values
             .get(key)
             .map(|v| v.parse().unwrap_or_else(|e| panic!("bad --{key}: {e:?}")))
@@ -135,6 +169,30 @@ mod tests {
         let a = Args::default();
         assert_eq!(a.get("missing", 7usize), 7);
         assert!((a.get("missing", 1.5f64) - 1.5).abs() < 1e-12);
+    }
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn declared_flags_parse() {
+        let a = Args::parse_strict(argv(&["--circuits", "3"]), &["circuits", "seed"]);
+        assert_eq!(a.get("circuits", 20usize), 3);
+        assert_eq!(a.get("seed", 17u64), 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown flag --circuit; this binary reads --circuits, --seed")]
+    fn unknown_flags_are_rejected_by_name() {
+        Args::parse_strict(argv(&["--circuit", "1"]), &["circuits", "seed"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--dmax is read but not declared")]
+    fn undeclared_reads_are_caught() {
+        let a = Args::parse_strict(argv(&[]), &["circuits"]);
+        a.get("dmax", 6usize);
     }
 
     #[test]

@@ -8,10 +8,9 @@ use ashn_ir::{Basis, Circuit, IrError, SynthError};
 use ashn_math::randmat::haar_su;
 use ashn_math::CMat;
 use ashn_route::{expand_route_ops, random_pairing, Grid, Router};
-use ashn_sim::{BatchRunner, SimEngine, Simulate};
+use ashn_sim::{SimEngine, Simulate};
 use ashn_synth::cnot_basis::CZ_DURATION;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Noise parameters of the paper's model: single-qubit gates have a fixed
 /// error rate; two-qubit gates scale with their duration relative to CZ,
@@ -260,169 +259,6 @@ pub fn score_compiled_many(compiled: &CompiledModel, noises: &[QvNoise]) -> Vec<
         .collect()
 }
 
-/// Compiles and scores one model circuit.
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from compilation.
-pub fn score_circuit(
-    model: &ModelCircuit,
-    gate_set: GateSet,
-    noise: &QvNoise,
-) -> Result<CircuitScore, SynthError> {
-    Ok(score_compiled(&compile_model(model, gate_set)?, noise))
-}
-
-/// Samples one model circuit from a dedicated seed and scores it — the unit
-/// of work the batched experiment runners fan out.
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from compilation.
-pub fn score_sampled(
-    d: usize,
-    gate_set: GateSet,
-    noise: &QvNoise,
-    circuit_seed: u64,
-) -> Result<CircuitScore, SynthError> {
-    Ok(score_sampled_many(d, gate_set, std::slice::from_ref(noise), circuit_seed)?[0])
-}
-
-/// [`score_sampled`] at all the given noise levels: the circuit is sampled
-/// and compiled **once**, then scored per point via
-/// [`score_compiled_many`].
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from compilation.
-pub fn score_sampled_many(
-    d: usize,
-    gate_set: GateSet,
-    noises: &[QvNoise],
-    circuit_seed: u64,
-) -> Result<Vec<CircuitScore>, SynthError> {
-    let mut rng = StdRng::seed_from_u64(circuit_seed);
-    let model = sample_model_circuit(d, &mut rng);
-    Ok(score_compiled_many(
-        &compile_model(&model, gate_set)?,
-        noises,
-    ))
-}
-
-/// Folds per-circuit, per-noise-point heavy-output scores into per-point
-/// means, propagating the first error.
-fn fold_mean_hops(
-    scores: Vec<Result<Vec<CircuitScore>, SynthError>>,
-    points: usize,
-) -> Result<Vec<f64>, SynthError> {
-    let n = scores.len();
-    let mut totals = vec![0.0; points];
-    for s in scores {
-        for (t, sc) in totals.iter_mut().zip(s?) {
-            *t += sc.hop;
-        }
-    }
-    for t in totals.iter_mut() {
-        *t /= n as f64;
-    }
-    Ok(totals)
-}
-
-/// Mean heavy-output probability over `n_circuits` random model circuits of
-/// size `d` — one point of paper Fig. 7.
-///
-/// Per-circuit seeds are drawn serially from `rng`, then each circuit is
-/// sampled, compiled, and scored on a [`BatchRunner`] worker: the result
-/// depends only on `rng`'s state, never on the machine's parallelism.
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from compilation.
-pub fn mean_hop(
-    d: usize,
-    gate_set: GateSet,
-    noise: &QvNoise,
-    n_circuits: usize,
-    rng: &mut impl Rng,
-) -> Result<f64, SynthError> {
-    Ok(mean_hop_sweep(d, gate_set, std::slice::from_ref(noise), n_circuits, rng)?[0])
-}
-
-/// [`mean_hop`] at all the given noise levels: each circuit is compiled
-/// **once** and scored at every point against the same compiled plan —
-/// the shape of a Fig. 7 noise sweep, where recompiling per point would
-/// multiply the synthesis cost by the number of points.
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from compilation.
-pub fn mean_hop_sweep(
-    d: usize,
-    gate_set: GateSet,
-    noises: &[QvNoise],
-    n_circuits: usize,
-    rng: &mut impl Rng,
-) -> Result<Vec<f64>, SynthError> {
-    let seeds: Vec<u64> = (0..n_circuits).map(|_| rng.gen::<u64>()).collect();
-    let scores = BatchRunner::new(0).run(n_circuits, |i, _| {
-        score_sampled_many(d, gate_set, noises, seeds[i])
-    });
-    fold_mean_hops(scores, noises.len())
-}
-
-/// [`mean_hop`] with an explicit master seed and worker count
-/// (`workers` follows the [`ashn_math::par`] zero-means-default
-/// convention): circuit `i` is sampled from
-/// the [`BatchRunner`] stream for job `i`, so the estimate is bit-identical
-/// for any worker count — the reproducibility contract of the batched
-/// experiment runner.
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from compilation.
-pub fn mean_hop_batched(
-    d: usize,
-    gate_set: GateSet,
-    noise: &QvNoise,
-    n_circuits: usize,
-    master_seed: u64,
-    workers: usize,
-) -> Result<f64, SynthError> {
-    Ok(mean_hop_batched_sweep(
-        d,
-        gate_set,
-        std::slice::from_ref(noise),
-        n_circuits,
-        master_seed,
-        workers,
-    )?[0])
-}
-
-/// [`mean_hop_batched`] at all the given noise levels, compiling each
-/// circuit once (same worker-count-invariance contract).
-///
-/// # Errors
-///
-/// Propagates [`SynthError`] from compilation.
-pub fn mean_hop_batched_sweep(
-    d: usize,
-    gate_set: GateSet,
-    noises: &[QvNoise],
-    n_circuits: usize,
-    master_seed: u64,
-    workers: usize,
-) -> Result<Vec<f64>, SynthError> {
-    let runner = BatchRunner::new(master_seed).with_workers(workers);
-    let scores = runner.run(n_circuits, |_, rng| {
-        let model = sample_model_circuit(d, rng);
-        Ok(score_compiled_many(
-            &compile_model(&model, gate_set)?,
-            noises,
-        ))
-    });
-    fold_mean_hops(scores, noises.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,17 +272,29 @@ mod tests {
         assert_eq!(h, vec![0, 2]);
     }
 
+    /// Mean heavy-output probability of `n` model circuits of size `d`
+    /// sampled from `seed`, each compiled once and scored at `noise`.
+    fn mean_hop(d: usize, gate_set: GateSet, noise: &QvNoise, n: usize, seed: u64) -> f64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let total: f64 = (0..n)
+            .map(|_| {
+                let model = sample_model_circuit(d, &mut rng);
+                score_compiled(&compile_model(&model, gate_set).unwrap(), noise).hop
+            })
+            .sum();
+        total / n as f64
+    }
+
     #[test]
     fn noiseless_hop_is_high() {
         // Ideal heavy-output probability of random circuits approaches
         // (1 + ln 2)/2 ≈ 0.847 for large d; even at d = 4 it is well above
         // the 2/3 threshold.
-        let mut rng = StdRng::seed_from_u64(31);
         let noise = QvNoise {
             e_cz: 0.0,
             e_1q: 0.0,
         };
-        let hop = mean_hop(4, GateSet::Ashn { cutoff: 0.0 }, &noise, 4, &mut rng).unwrap();
+        let hop = mean_hop(4, GateSet::Ashn { cutoff: 0.0 }, &noise, 4, 31);
         assert!(hop > 0.75, "noiseless HOP = {hop}");
     }
 
@@ -454,21 +302,15 @@ mod tests {
     fn noise_lowers_hop_toward_half() {
         let mut rng = StdRng::seed_from_u64(32);
         let model = sample_model_circuit(4, &mut rng);
-        let clean = score_circuit(
-            &model,
-            GateSet::Ashn { cutoff: 0.0 },
+        let compiled = compile_model(&model, GateSet::Ashn { cutoff: 0.0 }).unwrap();
+        let clean = score_compiled(
+            &compiled,
             &QvNoise {
                 e_cz: 0.0,
                 e_1q: 0.0,
             },
-        )
-        .unwrap();
-        let noisy = score_circuit(
-            &model,
-            GateSet::Ashn { cutoff: 0.0 },
-            &QvNoise::with_e_cz(0.05),
-        )
-        .unwrap();
+        );
+        let noisy = score_compiled(&compiled, &QvNoise::with_e_cz(0.05));
         assert!(noisy.hop < clean.hop);
         assert!(
             noisy.hop > 0.45,
@@ -479,66 +321,12 @@ mod tests {
 
     #[test]
     fn ashn_beats_cz_on_the_same_circuits() {
-        // The paper's headline Fig. 7 ordering at a fixed noise level.
+        // The paper's headline Fig. 7 ordering at a fixed noise level; the
+        // same seed gives both gate sets the same circuits.
         let noise = QvNoise::with_e_cz(0.017);
-        let mut hops = [0.0f64; 2];
-        for (k, gs) in [GateSet::Cz, GateSet::Ashn { cutoff: 0.0 }]
-            .into_iter()
-            .enumerate()
-        {
-            let mut rng = StdRng::seed_from_u64(33); // same circuits for both
-            hops[k] = mean_hop(4, gs, &noise, 3, &mut rng).unwrap();
-        }
-        assert!(
-            hops[1] > hops[0],
-            "AshN {} should beat CZ {}",
-            hops[1],
-            hops[0]
-        );
-    }
-
-    #[test]
-    fn batched_hop_is_worker_count_invariant() {
-        // The same master seed must yield bit-identical heavy-output
-        // statistics whether the batch runs on 1, 2, or 8 workers.
-        let noise = QvNoise::with_e_cz(0.012);
-        let reference = mean_hop_batched(3, GateSet::Cz, &noise, 4, 77, 1).unwrap();
-        for workers in [2, 8] {
-            let got = mean_hop_batched(3, GateSet::Cz, &noise, 4, 77, workers).unwrap();
-            assert_eq!(got.to_bits(), reference.to_bits(), "workers = {workers}");
-        }
-        assert!((0.0..=1.0).contains(&reference));
-    }
-
-    #[test]
-    fn sweep_matches_per_point_scoring_bit_for_bit() {
-        // One compilation scored at three noise levels must equal three
-        // independent batched runs from the same master seed.
-        let points = [
-            QvNoise::with_e_cz(0.007),
-            QvNoise::with_e_cz(0.012),
-            QvNoise::with_e_cz(0.017),
-        ];
-        let swept = mean_hop_batched_sweep(3, GateSet::Cz, &points, 3, 41, 2).unwrap();
-        assert_eq!(swept.len(), points.len());
-        for (noise, &hop) in points.iter().zip(swept.iter()) {
-            let single = mean_hop_batched(3, GateSet::Cz, noise, 3, 41, 2).unwrap();
-            assert_eq!(hop.to_bits(), single.to_bits());
-        }
-        // More noise, less heavy output.
-        assert!(swept[0] > swept[2]);
-    }
-
-    #[test]
-    fn sweep_is_worker_count_invariant() {
-        let points = [QvNoise::with_e_cz(0.007), QvNoise::with_e_cz(0.017)];
-        let reference = mean_hop_batched_sweep(3, GateSet::Cz, &points, 4, 43, 1).unwrap();
-        for workers in [2, 8] {
-            let got = mean_hop_batched_sweep(3, GateSet::Cz, &points, 4, 43, workers).unwrap();
-            for (a, b) in got.iter().zip(reference.iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "workers = {workers}");
-            }
-        }
+        let cz = mean_hop(4, GateSet::Cz, &noise, 3, 33);
+        let ashn = mean_hop(4, GateSet::Ashn { cutoff: 0.0 }, &noise, 3, 33);
+        assert!(ashn > cz, "AshN {ashn} should beat CZ {cz}");
     }
 
     #[test]
@@ -556,31 +344,16 @@ mod tests {
     }
 
     #[test]
-    fn mean_hop_depends_only_on_the_caller_rng() {
-        // Two calls from identically seeded RNGs agree exactly, whatever
-        // the default worker count happens to be on this machine.
-        let noise = QvNoise::with_e_cz(0.012);
-        let mut rng_a = StdRng::seed_from_u64(55);
-        let mut rng_b = StdRng::seed_from_u64(55);
-        let a = mean_hop(3, GateSet::Cz, &noise, 3, &mut rng_a).unwrap();
-        let b = mean_hop(3, GateSet::Cz, &noise, 3, &mut rng_b).unwrap();
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
     fn interaction_time_orders_cz_sqisw_ashn() {
         let mut rng = StdRng::seed_from_u64(34);
         let model = sample_model_circuit(4, &mut rng);
         let noise = QvNoise::with_e_cz(0.01);
-        let t_cz = score_circuit(&model, GateSet::Cz, &noise)
-            .unwrap()
-            .interaction_time;
-        let t_sq = score_circuit(&model, GateSet::Sqisw, &noise)
-            .unwrap()
-            .interaction_time;
-        let t_ashn = score_circuit(&model, GateSet::Ashn { cutoff: 0.0 }, &noise)
-            .unwrap()
-            .interaction_time;
+        let time = |gate_set| {
+            score_compiled(&compile_model(&model, gate_set).unwrap(), &noise).interaction_time
+        };
+        let t_cz = time(GateSet::Cz);
+        let t_sq = time(GateSet::Sqisw);
+        let t_ashn = time(GateSet::Ashn { cutoff: 0.0 });
         assert!(t_ashn < t_sq && t_sq < t_cz, "{t_ashn} {t_sq} {t_cz}");
     }
 }

@@ -7,12 +7,14 @@
 //! heavy-output probability.
 //!
 //! ```no_run
-//! use ashn_qv::{GateSet, QvNoise, mean_hop};
+//! use ashn_qv::{compile_model, sample_model_circuit, score_compiled, GateSet, QvNoise};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let hop = mean_hop(4, GateSet::Ashn { cutoff: 1.1 }, &QvNoise::with_e_cz(0.007), 20, &mut rng)?;
-//! assert!(hop > 0.5);
+//! let model = sample_model_circuit(4, &mut rng);
+//! let compiled = compile_model(&model, GateSet::Ashn { cutoff: 1.1 })?;
+//! let score = score_compiled(&compiled, &QvNoise::with_e_cz(0.007));
+//! assert!(score.hop > 0.5);
 //! # Ok::<(), ashn_ir::SynthError>(())
 //! ```
 
@@ -21,9 +23,8 @@ pub mod gateset;
 pub mod protocol;
 
 pub use experiment::{
-    compile_model, compile_model_on, heavy_set, mean_hop, mean_hop_batched, mean_hop_batched_sweep,
-    mean_hop_sweep, resolve_rates, sample_model_circuit, score_circuit, score_compiled,
-    score_compiled_many, score_sampled, score_sampled_many, stamp_noise, CircuitScore,
-    CompiledModel, ModelCircuit, QvNoise,
+    compile_model, compile_model_on, heavy_set, resolve_rates, sample_model_circuit,
+    score_compiled, score_compiled_many, stamp_noise, CircuitScore, CompiledModel, ModelCircuit,
+    QvNoise,
 };
 pub use gateset::GateSet;

@@ -18,6 +18,11 @@
 //!    verbatim, same-class targets re-dressed with KAK-computed locals
 //!    ([`ashn_synth::cache::serve_from_entry`]).
 //!
+//! Classes the closed-form retargeting rules cover skip phases 3–4's cache
+//! and search: each of their targets is served by
+//! [`RuleSet::serve`](ashn_synth::retarget::RuleSet::serve), the same pure
+//! function `CachedBasis` calls, and nothing is stored for them.
+//!
 //! Worker-count invariance holds because each phase is a pure
 //! index-ordered map over frozen inputs: requests never read the shared
 //! cache during the parallel phases — they read the per-batch solution
@@ -37,8 +42,9 @@
 //! Cold synthesis gets up to [`CompileService::max_attempts`] escalating
 //! attempts with panics contained; every served circuit is verified at
 //! [`CompileService::verify_tol`], and a failing serve quarantines the
-//! cache entry it came from and resynthesizes privately; whatever still
-//! fails degrades to an exact CNOT decomposition, which is never cached.
+//! cache entry it came from (a rule serve came from none) and
+//! resynthesizes privately; whatever still fails degrades to an exact CNOT
+//! decomposition, which is never cached.
 
 use crate::error::ServiceError;
 use crate::sharded::ShardedCache;
@@ -50,10 +56,12 @@ use ashn_math::{CMat, Mat4};
 use ashn_opt::{OptLevel, OptStats};
 use ashn_qv::{stamp_noise, QvNoise};
 use ashn_route::{Grid, LookaheadRouter, RouteOp};
-use ashn_synth::cache::{serve_from_entry, ClassEntry, ClassKey, ClassStore, Lookup};
+use ashn_synth::cache::{
+    memo_native_swap, serve_from_entry, ClassEntry, ClassKey, ClassStore, Lookup,
+};
 use ashn_synth::circuit2::TwoQubitCircuit;
 use ashn_synth::cnot_basis::try_decompose_cnot;
-use ashn_synth::retarget::{rule_key, standard_rules, RuleSet};
+use ashn_synth::retarget::{standard_rules, RuleSet};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -132,7 +140,7 @@ enum Tier {
     /// Served by re-dressing a same-class entry.
     Redressed,
     /// Served by the closed-form retargeting rule tier — no memo-cache
-    /// numeric entry and no EA/pulse search were consulted.
+    /// entry and no EA/pulse search were consulted.
     Rule,
     /// This target's class was synthesized cold (it was the class
     /// representative, or its stored entry had drifted).
@@ -178,7 +186,8 @@ pub struct ServiceStats {
     /// requested basis failed or panicked.
     pub degraded: u64,
     /// Served circuits that failed post-serve verification: the cache
-    /// entry was evicted and the target resynthesized (counted per serve).
+    /// entry the serve read (none for a rule serve) was evicted and the
+    /// target resynthesized (counted per serve).
     pub quarantined: u64,
     /// Extra synthesis attempts consumed by retries
     /// ([`CompileService::max_attempts`]).
@@ -247,9 +256,7 @@ pub struct BatchCompileResult {
 
 /// One unique Weyl class in a batch and how it got its solution.
 struct UniqueClass {
-    /// The cache key the solution lives under: the numeric class key, or
-    /// the namespaced rule key once the rule tier covers the class, so a
-    /// quarantine evicts the entry the serve actually read.
+    /// The cache key a numeric solution lives under.
     key: ClassKey,
     /// Index of the representative target (first occurrence).
     rep: usize,
@@ -259,9 +266,9 @@ struct UniqueClass {
 enum Solution {
     /// Found in the shared cache before the batch ran.
     Warm(ClassEntry),
-    /// Covered by a closed-form retargeting rule — the entry is the rule's
-    /// exact fragment (or core), no numeric search ever ran.
-    Rule(ClassEntry),
+    /// Covered by a closed-form retargeting rule: each target is served
+    /// by [`RuleSet::serve`], no numeric search runs and nothing is stored.
+    Rule,
     /// Synthesized cold by this batch.
     Cold(ClassEntry),
     Failed(String),
@@ -335,11 +342,6 @@ impl<B: Basis + Sync> CompileService<B> {
         self
     }
 
-    /// The active retargeting rule table, if the tier is armed.
-    pub fn rule_set(&self) -> Option<&RuleSet> {
-        self.rules.as_deref()
-    }
-
     /// Gives every cold synthesis, and every resynthesis after a
     /// quarantine, up to `max_attempts` escalating attempts (default 1;
     /// `0` counts as 1). Attempt `k` asks the basis for
@@ -353,9 +355,19 @@ impl<B: Basis + Sync> CompileService<B> {
 
     /// Verifies every served circuit against its target at this Frobenius
     /// tolerance (default `1e-3`). A failing serve evicts the cache entry
-    /// it came from, counts a quarantine, and resynthesizes the target.
+    /// it came from (a rule serve came from none), counts a quarantine,
+    /// and resynthesizes the target.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `verify_tol >= 0.0`: a NaN tolerance would pass every
+    /// serve unverified, a negative one would quarantine every serve.
     #[must_use]
     pub fn verify_tol(mut self, verify_tol: f64) -> Self {
+        assert!(
+            verify_tol >= 0.0,
+            "verify_tol must be a non-negative number, got {verify_tol}"
+        );
         self.verify_tol = verify_tol;
         self
     }
@@ -457,26 +469,22 @@ impl<B: Basis + Sync> CompileService<B> {
             ],
         );
 
-        // Phase 3a: rule-tier consultation (serial — cheap clones). Rules
-        // come FIRST: a class covered by a closed-form retargeting rule
-        // never touches the numeric memo-cache or the EA path. Rule
-        // fragments are shared with future batches under the namespaced
-        // pair key, never the numeric key.
+        // Phase 3a: rule-tier coverage (serial). Rules come FIRST: a class
+        // covered by a closed-form retargeting rule never touches the
+        // memo-cache or the EA path, and nothing is stored for it.
         let basis_name = self.basis.name();
         let basis_params = self.basis.cache_params();
         let rule_span = telemetry.span("service.rule_tier");
         let mut ruled_count = 0u64;
         for class in unique.iter_mut() {
-            let ruled = self.rules.as_ref().and_then(|rules| {
-                let (_, coords) = status[class.rep].as_ref().ok()?;
-                let rule = rules.class_rule(&basis_name, &basis_params, *coords)?;
-                Some((rule, *coords))
-            });
-            if let Some((rule, coords)) = ruled {
-                let entry = rule.entry(targets[class.rep]);
-                class.key = rule_key(&self.basis, &rule.label, coords);
-                self.cache.store(class.key.clone(), entry.clone());
-                class.solution = Solution::Rule(entry);
+            let ruled = match (&self.rules, &status[class.rep]) {
+                (Some(rules), Ok((_, coords))) => rules
+                    .class_rule(&basis_name, &basis_params, *coords)
+                    .is_some(),
+                _ => false,
+            };
+            if ruled {
+                class.solution = Solution::Rule;
                 ruled_count += 1;
             }
         }
@@ -489,7 +497,7 @@ impl<B: Basis + Sync> CompileService<B> {
         let fetch_span = telemetry.span("service.cache_fetch");
         let mut cold: Vec<usize> = Vec::new();
         for (uidx, class) in unique.iter_mut().enumerate() {
-            if matches!(class.solution, Solution::Rule(_)) {
+            if matches!(class.solution, Solution::Rule) {
                 continue;
             }
             match self.cache.fetch(&class.key) {
@@ -599,10 +607,41 @@ impl<B: Basis + Sync> CompileService<B> {
             Ok(ok) => *ok,
         };
         let class = &prepared.unique[uidx];
-        let (entry, cold, rule) = match &class.solution {
-            Solution::Warm(entry) => (entry, false, false),
-            Solution::Rule(entry) => (entry, false, true),
-            Solution::Cold(entry) => (entry, true, false),
+        // The cache entry this serve reads: none for a rule serve.
+        let key = (!matches!(class.solution, Solution::Rule)).then_some(&class.key);
+        let (tier, circuit) = match &class.solution {
+            // The same pure function `CachedBasis` serves rules with.
+            Solution::Rule => match self
+                .rules
+                .as_ref()
+                .and_then(|rules| rules.serve(&self.basis, target, coords))
+            {
+                Some(circuit) => (Tier::Rule, circuit),
+                None => {
+                    return self.quarantine(target, None, "rule core drifted from its class", acct)
+                }
+            },
+            // The representative IS the cold synthesis.
+            Solution::Cold(entry) if class.rep == index => {
+                (Tier::Cold, entry.circuit.clone().into())
+            }
+            Solution::Warm(entry) | Solution::Cold(entry) => {
+                match serve_from_entry(target, coords, entry) {
+                    Some((circuit, Lookup::ExactHit)) => (Tier::Exact, circuit),
+                    Some((circuit, _)) => (Tier::Redressed, circuit),
+                    // Drifted realization (possible only for entries loaded
+                    // from a foreign scheme version): quarantine and pay a
+                    // private cold synthesis.
+                    None => {
+                        return self.quarantine(
+                            target,
+                            key,
+                            "stored circuit drifted from its class",
+                            acct,
+                        )
+                    }
+                }
+            }
             Solution::Failed(detail) => {
                 return self.degrade(
                     target,
@@ -610,38 +649,6 @@ impl<B: Basis + Sync> CompileService<B> {
                         detail: detail.clone(),
                     },
                 )
-            }
-        };
-        let (tier, circuit) = if cold && class.rep == index {
-            // The representative IS the cold synthesis.
-            (Tier::Cold, entry.circuit.clone().into())
-        } else if let Some(fragment) = rule
-            .then(|| self.exact_rule_fragment(target, coords))
-            .flatten()
-        {
-            // Exact known gate of a rule-covered class: its pre-dressed
-            // fragment serves verbatim. Without this, only the class
-            // representative would get the fast path — every other known
-            // gate of the class would pay a KAK re-dress per serve.
-            (Tier::Rule, fragment)
-        } else {
-            match serve_from_entry(target, coords, entry) {
-                // Every serve of a rule-solved class — verbatim fragment or
-                // re-dressed from the exact core — is a rule-tier serve.
-                Some((circuit, _)) if rule => (Tier::Rule, circuit),
-                Some((circuit, Lookup::ExactHit)) => (Tier::Exact, circuit),
-                Some((circuit, _)) => (Tier::Redressed, circuit),
-                // Drifted realization (possible only for entries loaded
-                // from a foreign scheme version): quarantine and pay a
-                // private cold synthesis.
-                None => {
-                    return self.quarantine(
-                        target,
-                        &class.key,
-                        "stored circuit drifted from its class",
-                        acct,
-                    )
-                }
             }
         };
         // Verification tier: every served circuit — cache hit or fresh —
@@ -659,7 +666,7 @@ impl<B: Basis + Sync> CompileService<B> {
         if err.is_nan() || err > tol {
             return self.quarantine(
                 target,
-                &class.key,
+                key,
                 &format!("served circuit verification error {err:.2e} exceeds {tol:.2e}"),
                 acct,
             );
@@ -667,26 +674,19 @@ impl<B: Basis + Sync> CompileService<B> {
         (tier, Ok(circuit))
     }
 
-    /// The pre-dressed rule fragment for `target`, when `target` is an
-    /// exact known gate of a rule covering its class (`None` otherwise —
-    /// dressed class members are re-dressed from the stored exact core).
-    fn exact_rule_fragment(&self, target: &CMat, coords: WeylPoint) -> Option<Circuit> {
-        let rules = self.rules.as_ref()?;
-        let rule = rules.class_rule(&self.basis.name(), &self.basis.cache_params(), coords)?;
-        let gate = rule.match_gate(target)?;
-        Some(gate.circuit.clone().into())
-    }
-
-    /// Evicts a bad cache entry and resynthesizes the target privately
-    /// (verified, retried, never written back), degrading on failure.
+    /// Evicts the bad cache entry the serve read, if any, and resynthesizes
+    /// the target privately (verified, retried, never written back),
+    /// degrading on failure.
     fn quarantine(
         &self,
         target: &CMat,
-        key: &ClassKey,
+        key: Option<&ClassKey>,
         reason: &str,
         acct: &mut ResAcct,
     ) -> (Tier, Result<Circuit, ServiceError>) {
-        self.cache.evict(key);
+        if let Some(key) = key {
+            self.cache.evict(key);
+        }
         acct.quarantined += 1;
         match self.synthesize_cold(target) {
             Ok((circuit, attempts)) => {
@@ -815,7 +815,7 @@ impl<B: Basis + Sync> CompileService<B> {
         for class in &prepared.unique {
             match class.solution {
                 Solution::Warm(_) => stats.warm_classes += 1,
-                Solution::Rule(_) => stats.rule_classes += 1,
+                Solution::Rule => stats.rule_classes += 1,
                 Solution::Cold(_) | Solution::Failed(_) => stats.cold_classes += 1,
             }
         }
@@ -972,31 +972,6 @@ impl<B: Basis + Sync> CompileService<B> {
         }
     }
 
-    /// The service's compiled SWAP fragment, memoized in the shared cache
-    /// under the dedicated swap key (mirrors `CachedBasis::native_swap`).
-    fn swap_fragment(&self) -> Result<Circuit, ServiceError> {
-        let swap = ashn_gates::two::swap();
-        let key = ClassKey::new(
-            &self.basis,
-            ashn_gates::kak::weyl_coordinates(&swap).canonicalize(),
-            true,
-        );
-        if let Some(entry) = self.cache.fetch(&key) {
-            return Ok(entry.circuit.into());
-        }
-        let circuit = self.basis.native_swap()?;
-        if let Ok(core) = TwoQubitCircuit::try_from(circuit.clone()) {
-            self.cache.store(
-                key,
-                ClassEntry {
-                    target: swap,
-                    circuit: core,
-                },
-            );
-        }
-        Ok(circuit)
-    }
-
     /// Compiles a batch of circuits through the full pipeline:
     /// synthesize (batch-deduplicated) → route ([`LookaheadRouter`]) →
     /// optimize (per-request [`OptLevel`]) → schedule (per-request noise).
@@ -1032,7 +1007,11 @@ impl<B: Basis + Sync> CompileService<B> {
             slices.push((start, targets.len()));
         }
         let prepared = self.prime(&targets);
-        let swap_fragment = self.swap_fragment();
+        // The SWAP memo `CachedBasis::native_swap` uses, left unrecorded:
+        // the cache's lookup counters count synthesis targets only.
+        let swap_fragment = memo_native_swap(&self.basis, &self.cache)
+            .map(|(circuit, _)| circuit)
+            .map_err(ServiceError::from);
         let (mut stats, _, results) =
             self.serve_batch(requests.len(), &targets, &prepared, &slices, |r, served| {
                 self.assemble(&requests[r], grids[r].clone()?, served, &swap_fragment)
@@ -1232,6 +1211,22 @@ mod tests {
         let err = service.synthesize_cold(&junk).unwrap_err();
         assert!(matches!(err, SynthError::InvalidTarget { .. }));
         assert_eq!(service.basis().calls.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "verify_tol must be a non-negative number")]
+    fn nan_verify_tol_is_rejected() {
+        // `err > NaN` is always false: a NaN tolerance would pass every
+        // serve unverified.
+        let _ = CompileService::new(CnotBasis).verify_tol(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "verify_tol must be a non-negative number")]
+    fn negative_verify_tol_is_rejected() {
+        // Every error exceeds a negative tolerance: every serve would be
+        // quarantined and degraded.
+        let _ = CompileService::new(CnotBasis).verify_tol(-1.0);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! The closed-form retargeting rule tier inside the batch service: rule
-//! serves never pay a numeric synthesis or a cache miss, rule fragments
-//! live under pair keys only, and rule-heavy batches stay bit-identical
-//! at every worker count.
+//! serves never pay a numeric synthesis or a cache miss, store nothing,
+//! are a pure function of their target in both front ends, and rule-heavy
+//! batches stay bit-identical at every worker count.
 
 mod common;
 
 use ashn_gates::kak::weyl_coordinates;
-use ashn_gates::two::{cnot, cz, iswap, swap};
+use ashn_gates::two::{cnot, cz, ecr, iswap, swap};
 use ashn_ir::{Basis, BasisMetadata, Circuit, Instruction, SynthError};
 use ashn_math::randmat::haar_unitary;
 use ashn_math::CMat;
 use ashn_service::{CompileRequest, CompileService, ShardedCache};
-use ashn_synth::basis::CzBasis;
-use ashn_synth::cache::{ClassKey, ClassStore};
+use ashn_synth::basis::{CnotBasis, CzBasis, EcrBasis, SqiswBasis};
+use ashn_synth::cache::{CachedBasis, ClassKey, ClassStore};
+use ashn_synth::retarget::standard_rules;
 use common::{dressed, fingerprint};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -135,27 +136,99 @@ fn mixed_batch_splits_between_rule_tier_and_numeric_path() {
 }
 
 #[test]
-fn rule_fragments_cache_under_pair_keys_never_numeric_keys() {
+fn rule_serves_store_nothing() {
     let service = CompileService::with_cache(CzBasis, ShardedCache::new());
-    let batch = service.synthesize_batch(&[cnot(), iswap()]);
-    assert_eq!(batch.stats.rule_hits, 2);
-
-    // The numeric class keys for those targets must stay vacant: a later
-    // numeric lookup can never be served a rule fragment by accident.
-    for target in [cnot(), iswap()] {
-        let coords = weyl_coordinates(&target).canonicalize();
-        let numeric = ClassKey::new(&CzBasis, coords, false);
-        assert!(
-            service.cache().fetch(&numeric).is_none(),
-            "rule fragment leaked into numeric key {numeric:?}"
-        );
+    let mut rng = StdRng::seed_from_u64(0x5707);
+    let targets = [cnot(), iswap(), dressed(&swap(), &mut rng)];
+    for _ in 0..2 {
+        let batch = service.synthesize_batch(&targets);
+        assert_eq!(batch.stats.rule_hits, targets.len() as u64);
+        assert_eq!(service.cache().len(), 0, "a rule serve wrote the cache");
     }
-    // But the fragments ARE shared: a second batch re-serves them from the
-    // pair-keyed entries without growing the cache.
-    let len = service.cache().len();
-    let again = service.synthesize_batch(&[cnot(), iswap()]);
-    assert_eq!(again.stats.rule_hits, 2);
-    assert_eq!(service.cache().len(), len);
+    // In particular the numeric class keys stay vacant: a later numeric
+    // lookup can never be served a rule fragment by accident.
+    for target in &targets {
+        let coords = weyl_coordinates(target).canonicalize();
+        let numeric = ClassKey::new(&CzBasis, coords, false);
+        assert!(service.cache().fetch(&numeric).is_none());
+    }
+}
+
+/// Every (known gate, target set) pair the standard rules cover: the CX,
+/// CZ, ECR, SWAP and iSWAP classes over the CZ, SQiSW, CNOT and ECR
+/// bases, except SWAP over SQiSW (no closed form).
+fn rule_covered_pairs() -> Vec<(&'static str, CMat, &'static (dyn Basis + Sync))> {
+    let bases: [&'static (dyn Basis + Sync); 4] = [&CzBasis, &SqiswBasis, &CnotBasis, &EcrBasis];
+    let mut pairs = Vec::new();
+    for (name, gate) in [
+        ("CX", cnot()),
+        ("CZ", cz()),
+        ("ECR", ecr()),
+        ("SWAP", swap()),
+        ("iSWAP", iswap()),
+    ] {
+        let coords = weyl_coordinates(&gate).canonicalize();
+        for basis in bases {
+            if standard_rules()
+                .class_rule(&basis.name(), &basis.cache_params(), coords)
+                .is_some()
+            {
+                pairs.push((name, gate.clone(), basis));
+            }
+        }
+    }
+    pairs
+}
+
+/// A rule serve is a pure function of its target: a dressed class member
+/// gets the same bits from a fresh `CachedBasis`, from one that served
+/// another member first, from the service alone or after the class's
+/// known gate in the same batch, and from a `CachedBasis` over a cache
+/// the service filled.
+#[test]
+fn a_rule_serve_is_a_pure_function_of_its_target() {
+    let pairs = rule_covered_pairs();
+    assert_eq!(pairs.len(), 19);
+    let mut rng = StdRng::seed_from_u64(0x9e4e);
+    let mut moved = Vec::new();
+    for &(gate, ref g, basis) in &pairs {
+        let u1 = dressed(g, &mut rng);
+        let u2 = dressed(g, &mut rng);
+        let facade = |store: ShardedCache| {
+            CachedBasis::with_store(basis, store).with_rules(standard_rules())
+        };
+        let bits = |served: Option<Circuit>| fingerprint(&served.expect("rule serve"));
+        let serve = |batch: &[CMat], cache: ShardedCache| {
+            let result = CompileService::with_cache(basis, cache).synthesize_batch(batch);
+            assert_eq!(result.stats.rule_hits, batch.len() as u64);
+            bits(result.circuits.last().and_then(|c| c.clone().ok()))
+        };
+        let fresh = bits(facade(ShardedCache::new()).synthesize(&u2).ok());
+
+        let warmed = facade(ShardedCache::new());
+        warmed.synthesize(&u1).expect("first member");
+        let after_other = bits(warmed.synthesize(&u2).ok());
+        let lone = serve(std::slice::from_ref(&u2), ShardedCache::new());
+        let after_gate = serve(&[g.clone(), u2.clone()], ShardedCache::new());
+        let filled = ShardedCache::new();
+        serve(&[g.clone(), u1.clone()], filled.clone());
+        let over_filled = bits(facade(filled).synthesize(&u2).ok());
+
+        for (how, got) in [
+            ("a facade after another member", after_other),
+            ("a lone service serve", lone),
+            ("a service serve after the known gate", after_gate),
+            ("a facade over a service-filled cache", over_filled),
+        ] {
+            if got != fresh {
+                moved.push(format!("{gate} over {}: {how}", basis.name()));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "rule serves differ from a fresh facade serve: {moved:#?}"
+    );
 }
 
 #[test]

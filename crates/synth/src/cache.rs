@@ -19,9 +19,12 @@
 //! The storage behind [`CachedBasis`] is pluggable via [`ClassStore`]:
 //! [`SynthCache`] is one single-mutex LRU store; `ashn-service`'s
 //! `ShardedCache` stripes [`SynthCache`] shards over many locks (one shard
-//! is the private store of an `ashn::Compiler`) and persists them to disk,
-//! sharing [`ClassKey`]/[`ClassEntry`] and the serve logic
-//! ([`serve_from_entry`]) with this module.
+//! is the private store of an `ashn::Compiler`) and persists them to disk.
+//! Both front ends share [`ClassKey`]/[`ClassEntry`], the serve logic
+//! ([`serve_from_entry`]) and the SWAP memo ([`memo_native_swap`]) with
+//! this module. The closed-form rule tier
+//! ([`RuleSet::serve`](crate::retarget::RuleSet::serve)) stores nothing:
+//! every store entry is a numeric synthesis or a `native_swap`.
 
 use crate::circuit2::{align_to_target, TwoQubitCircuit};
 use ashn_gates::kak::{weyl_coordinates, weyl_coordinates4};
@@ -164,6 +167,38 @@ pub fn serve_from_entry(
         return Some((dressed.fuse_single_qubit_runs(), Lookup::ClassHit));
     }
     None
+}
+
+/// `basis`'s [`Basis::native_swap`], memoized in `store` under the
+/// dedicated swap key: a stored entry is returned verbatim
+/// ([`Lookup::ExactHit`]); otherwise the basis's own `native_swap` runs —
+/// so a bespoke SWAP override is respected — and its result is stored
+/// ([`Lookup::Miss`]). Recording the lookup is left to the caller:
+/// [`CachedBasis`] records it, the compile service does not.
+///
+/// # Errors
+///
+/// The basis's `native_swap` error on a miss.
+pub fn memo_native_swap(
+    basis: &(impl Basis + ?Sized),
+    store: &(impl ClassStore + ?Sized),
+) -> Result<(Circuit, Lookup), SynthError> {
+    let swap = ashn_gates::two::swap();
+    let key = ClassKey::new(basis, weyl_coordinates(&swap).canonicalize(), true);
+    if let Some(entry) = store.fetch(&key) {
+        return Ok((entry.circuit.into(), Lookup::ExactHit));
+    }
+    let circuit = basis.native_swap()?;
+    if let Ok(core) = TwoQubitCircuit::try_from(circuit.clone()) {
+        store.store(
+            key,
+            ClassEntry {
+                target: swap,
+                circuit: core,
+            },
+        );
+    }
+    Ok((circuit, Lookup::Miss))
 }
 
 #[derive(Clone, Debug)]
@@ -451,19 +486,14 @@ impl<B: Basis, S: ClassStore> CachedBasis<B, S> {
     /// Arms the closed-form retargeting rule tier
     /// (`crate::retarget::standard_rules` or a custom table): targets
     /// whose class the target basis has a rule for are served from the
-    /// table — recorded as [`Lookup::RuleHit`], cached under the rule's
-    /// pair key — and never reach the memo-cache or the inner basis. Off
-    /// by default, so a bare `CachedBasis` is bit-identical to the
-    /// pre-rule behavior.
+    /// table by [`RuleSet::serve`](crate::retarget::RuleSet::serve) —
+    /// recorded as [`Lookup::RuleHit`], never stored — and never reach the
+    /// memo-cache or the inner basis. Off by default, so a bare
+    /// `CachedBasis` is bit-identical to the pre-rule behavior.
     #[must_use]
     pub fn with_rules(mut self, rules: std::sync::Arc<crate::retarget::RuleSet>) -> Self {
         self.rules = Some(rules);
         self
-    }
-
-    /// The underlying store.
-    pub fn class_store(&self) -> &S {
-        &self.cache
     }
 
     /// The wrapped basis.
@@ -501,12 +531,13 @@ impl<B: Basis, S: ClassStore> Basis for CachedBasis<B, S> {
         let coords = weyl_coordinates4(&m4).canonicalize();
         // Tier 0: closed-form retargeting rules, ahead of the memo-cache
         // and the (possibly numeric) inner synthesis.
-        if let Some(rules) = &self.rules {
-            if let Some(circuit) =
-                crate::retarget::serve_rule_tier(rules, &self.inner, &self.cache, u, coords)
-            {
-                return Ok(circuit);
-            }
+        if let Some(circuit) = self
+            .rules
+            .as_ref()
+            .and_then(|rules| rules.serve(&self.inner, u, coords))
+        {
+            self.cache.record(Lookup::RuleHit);
+            return Ok(circuit);
         }
         let key = ClassKey::new(&self.inner, coords, false);
         if let Some(entry) = self.cache.fetch(&key) {
@@ -533,25 +564,9 @@ impl<B: Basis, S: ClassStore> Basis for CachedBasis<B, S> {
     }
 
     fn native_swap(&self) -> Result<Circuit, SynthError> {
-        // Memoized under a dedicated key, and cold-served by the *inner*
-        // `native_swap` so a basis's bespoke SWAP override is respected.
-        let swap = ashn_gates::two::swap();
-        let key = ClassKey::new(&self.inner, weyl_coordinates(&swap).canonicalize(), true);
-        if let Some(entry) = self.cache.fetch(&key) {
-            self.cache.record(Lookup::ExactHit);
-            return Ok(entry.circuit.into());
-        }
-        self.cache.record(Lookup::Miss);
-        let circuit = self.inner.native_swap()?;
-        if let Ok(core) = TwoQubitCircuit::try_from(circuit.clone()) {
-            self.cache.store(
-                key,
-                ClassEntry {
-                    target: swap,
-                    circuit: core,
-                },
-            );
-        }
+        let (circuit, lookup) = memo_native_swap(&self.inner, &self.cache)
+            .inspect_err(|_| self.cache.record(Lookup::Miss))?;
+        self.cache.record(lookup);
         Ok(circuit)
     }
 

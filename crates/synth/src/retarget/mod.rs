@@ -21,22 +21,20 @@
 //!   constructions (SWAP/iSWAP from 3×/2×CX, CZ from CX + Hadamard
 //!   dressing, the SQiSW-pair → CX identity). Every rule emits an exact
 //!   `TwoQubitCircuit` fragment; no numeric optimization runs.
-//! - [`serve_rule_tier`] — the cache integration: `CachedBasis` and the
-//!   service's `ShardedCache` consult the rules *before* the Weyl
-//!   memo-cache and the EA path, recording `Lookup::RuleHit`, with
-//!   rule-emitted circuits cached under a namespaced (source rule, target
-//!   set) pair key that can never collide with the numeric tier's
-//!   [`ashn_ir::Basis::cache_params`] keys.
+//! - [`RuleSet::serve`] — the one rule serve: `CachedBasis` and the
+//!   service's `CompileService` consult it *before* the Weyl memo-cache
+//!   and the EA path, recording `Lookup::RuleHit`. It is a pure function
+//!   of the target: nothing it emits is cached, so a rule serve never
+//!   depends on what was served before it.
 //!
 //! The `ashn-opt` `Retarget` pass rewrites whole circuits between
 //! registered sets ahead of `Resynthesize` using the same tables.
 
 pub mod registry;
 pub mod rules;
-pub mod tier;
+mod tier;
 
 pub use registry::{
     expected_count, expected_entanglers_for, GateSetRegistry, NativeGate, RegisteredSet,
 };
 pub use rules::{standard_rules, ClassRule, KnownGate, RuleSet, RULE_TOL};
-pub use tier::{rule_key, serve_rule_tier};

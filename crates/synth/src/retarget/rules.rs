@@ -47,14 +47,13 @@ pub struct KnownGate {
 /// class's known gates.
 #[derive(Clone, Debug)]
 pub struct ClassRule {
-    /// Rule label, the source half of the cache pair key
-    /// (`"cx-class"`, `"swap-class"`, …).
+    /// Rule label (`"cx-class"`, `"swap-class"`, …).
     pub label: String,
     /// Canonical class coordinates.
     pub class: WeylPoint,
     /// Exact class realization over the target set.
     pub core: TwoQubitCircuit,
-    /// `core.unitary()`, cached for entry construction.
+    /// `core.unitary()`, cached for [`ClassRule::core_entry`].
     core_target: CMat,
     /// Pre-dressed known gates of this class.
     pub gates: Vec<KnownGate>,
@@ -66,19 +65,12 @@ impl ClassRule {
         self.gates.iter().find(|g| g.matrix.dist(u) < RULE_TOL)
     }
 
-    /// A synthetic cache entry serving `u`: the pre-dressed fragment for
-    /// an exact known-gate match (served verbatim downstream), otherwise
-    /// the bare core (re-dressed to `u` by the shared serve logic).
-    pub fn entry(&self, u: &CMat) -> ClassEntry {
-        match self.match_gate(u) {
-            Some(g) => ClassEntry {
-                target: g.matrix.clone(),
-                circuit: g.circuit.clone(),
-            },
-            None => ClassEntry {
-                target: self.core_target.clone(),
-                circuit: self.core.clone(),
-            },
+    /// The bare core as a memo entry, for re-dressing to any member of the
+    /// class that is not a known gate.
+    pub(super) fn core_entry(&self) -> ClassEntry {
+        ClassEntry {
+            target: self.core_target.clone(),
+            circuit: self.core.clone(),
         }
     }
 
