@@ -149,8 +149,8 @@ fn main() {
         );
 
         // Acceptance gates: identical bits everywhere, warm >= 5x cold.
-        // (The 5x gate is checked single-threaded, where per-batch thread
-        // spawn overhead cannot mask the synthesis saving.)
+        // (The 5x gate is checked single-threaded, where per-batch fan-out
+        // overhead cannot mask the synthesis saving.)
         let d = batch_digest(&cold);
         assert_eq!(d, batch_digest(&warm), "warm serve changed bits");
         assert_eq!(d, batch_digest(&disk), "disk-warm serve changed bits");

@@ -21,7 +21,7 @@
 //! - the objective runs entirely on stack-allocated [`Mat4`](ashn_math::Mat4)s
 //!   ([`crate::hamiltonian::evolve4`] + `makhlin4`), so the thousands of
 //!   evaluations per solve never touch the heap;
-//! - the multistart is fanned over scoped worker threads
+//! - the multistart is fanned over the worker pool
 //!   ([`ashn_ea_multistart`]) with a stable `(error, seed-index)` winner
 //!   rule, so the result is **bit-identical for any worker count** —
 //!   including the serial `workers = 1` path.
@@ -134,7 +134,7 @@ pub fn ashn_ea(
     ashn_ea_multistart(h_ratio, variant, x, y, z, 1)
 }
 
-/// [`ashn_ea`] with the multistart fanned over `workers` scoped threads
+/// [`ashn_ea`] with the multistart fanned over `workers` pool threads
 /// (`0` = one per hardware thread).
 ///
 /// The seed grid is ranked in parallel, then refinement attempts run in

@@ -159,7 +159,7 @@ impl AshnScheme {
         }
     }
 
-    /// Fans the EA multistart over `workers` scoped threads (`0` = one per
+    /// Fans the EA multistart over `workers` pool threads (`0` = one per
     /// hardware thread; default 1 = serial). The compiled pulse is
     /// bit-identical for every worker count — the multistart winner is
     /// selected by stable `(error, seed-index)` order.

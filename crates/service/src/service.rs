@@ -372,9 +372,9 @@ impl<B: Basis + Sync> CompileService<B> {
         self
     }
 
-    /// Fans batches over `workers` scoped threads (`0` = the pool's
-    /// [`default_workers`](ashn_core::par::default_workers)). Batch output
-    /// is bit-identical for every worker count.
+    /// Fans batches over `workers` threads of the worker pool (`0` = the
+    /// pool's [`default_workers`](ashn_core::par::default_workers)). Batch
+    /// output is bit-identical for every worker count.
     #[must_use]
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
@@ -1113,8 +1113,14 @@ fn validate(req: &CompileRequest) -> Result<Grid, ServiceError> {
     Ok(grid)
 }
 
+/// The integration suites' fixtures, `fingerprint` among them.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 #[cfg(test)]
 mod tests {
+    use super::common::fingerprint;
     use super::*;
     use ashn_math::randmat::haar_unitary;
     use ashn_synth::basis::{AshnBasis, CnotBasis};
@@ -1175,7 +1181,17 @@ mod tests {
         let direct = CnotBasis.synthesize(&u).unwrap();
         let (circuit, attempts) = CompileService::new(CnotBasis).synthesize_cold(&u).unwrap();
         assert_eq!(attempts, 1);
-        assert_eq!(format!("{circuit:?}"), format!("{direct:?}"));
+        assert_eq!(fingerprint(&circuit), fingerprint(&direct));
+    }
+
+    #[test]
+    fn fingerprint_sees_a_one_ulp_change_that_debug_hides() {
+        let circuit = CnotBasis.synthesize(&target()).unwrap();
+        let mut nudged = circuit.clone();
+        let entry = &mut nudged.instructions[0].matrix[(0, 0)];
+        entry.re = f64::from_bits(entry.re.to_bits() + 1);
+        assert_eq!(format!("{circuit:?}"), format!("{nudged:?}"));
+        assert_ne!(fingerprint(&circuit), fingerprint(&nudged));
     }
 
     #[test]
@@ -1236,7 +1252,7 @@ mod tests {
         let (a, a_attempts) = service.synthesize_cold(&u).unwrap();
         let (b, b_attempts) = service.synthesize_cold(&u).unwrap();
         assert_eq!(a_attempts, b_attempts);
-        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(fingerprint(&a), fingerprint(&b));
         assert!(a.error(&u) < 1e-5);
     }
 }

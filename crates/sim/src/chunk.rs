@@ -6,8 +6,8 @@
 //! left all but one core idle. Here each kernel op's *compressed index
 //! space* (the pair space of a 1q op, the quad space of a 2q op — see the
 //! `*_range` kernels in [`ashn_ir::kernels`]) is split into a **fixed grid
-//! of [`ChunkPolicy::CHUNKS_PER_OP`] chunks**, and `std::thread::scope`
-//! workers pull chunks from a shared counter.
+//! of [`ChunkPolicy::CHUNKS_PER_OP`] chunks**, and the workspace's worker
+//! pool ([`ashn_math::par::parallel_for`]) hands the chunks out by index.
 //!
 //! ## Determinism
 //!
@@ -25,21 +25,23 @@
 //!
 //! ## When it pays
 //!
-//! Spawning scoped threads costs a few tens of microseconds per op, so
-//! parallel application is only engaged at
+//! The pool's helpers are long-lived and poll briefly between ops, so one
+//! op's fan-out costs microseconds: 2–14 µs for 64 empty chunks at 2
+//! workers on a 2-vCPU x86-64 VM, against 80–290 µs to spawn and join two
+//! threads. Parallel application is only engaged at
 //! [`ChunkPolicy::MIN_PARALLEL_QUBITS`] and above, where a dense kernel
-//! sweep is hundreds of microseconds and the split wins. Below the
-//! threshold every path degrades to the scalar kernels.
+//! sweep is about a hundred microseconds or more and the split wins. Below
+//! the threshold every path degrades to the scalar kernels.
 
+use ashn_math::par::parallel_for;
 use ashn_math::Complex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How amplitude-parallel kernel application is resolved per run.
 ///
 /// The policy separates *requested* workers from *engaged* workers: a
 /// request of any size still runs scalar below the register threshold
-/// ([`ChunkPolicy::MIN_PARALLEL_QUBITS`]), because thread-spawn overhead
-/// would swamp the kernels. `0` requested workers means the machine
+/// ([`ChunkPolicy::MIN_PARALLEL_QUBITS`]), because the fan-out's fixed
+/// cost would swamp the kernels. `0` requested workers means the machine
 /// default ([`ashn_math::par::default_workers`], which honors the
 /// `ASHN_WORKERS` environment override).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,9 +58,12 @@ impl Default for ChunkPolicy {
 }
 
 impl ChunkPolicy {
-    /// Registers below this size always run the scalar kernels: at
-    /// `n = 16` a dense 2q sweep touches 2^16 amplitudes (~1 MiB) and the
-    /// per-op `std::thread::scope` spawn starts to pay for itself.
+    /// Registers below this size always run the scalar kernels. At
+    /// `n = 16` a dense 2q sweep touches 2^16 amplitudes (~1 MiB), and the
+    /// split pays: the scaling bench measures 88 µs per gate at 2 workers
+    /// against 129 µs scalar on a 2-core box (`BENCH_scaling.json`). The
+    /// threshold was set when every op spawned its own threads and has not
+    /// been re-measured against the pool.
     pub const MIN_PARALLEL_QUBITS: usize = 16;
 
     /// Fixed number of chunks an op's compressed index space is split
@@ -93,7 +98,7 @@ impl ChunkPolicy {
     }
 }
 
-/// Shared mutable view of the amplitude buffer for the scoped workers.
+/// Shared mutable view of the amplitude buffer for the pool's workers.
 ///
 /// Chunks partition the compressed index space, and the `*_range` kernels
 /// touch exactly the disjoint amplitude groups their range addresses, so
@@ -104,13 +109,15 @@ struct SharedAmps {
 }
 
 // SAFETY: workers access disjoint elements only (see `run_chunked`'s
-// contract); the raw pointer outlives the scope because the `&mut [Complex]`
-// it came from is borrowed for the whole call.
+// contract). The raw pointer outlives every use: `parallel_for` returns only
+// after every chunk has finished, and the `&mut [Complex]` it came from is
+// borrowed for the whole call.
 unsafe impl Sync for SharedAmps {}
 
 /// Applies `apply(amps, lo, hi)` over the compressed index space
-/// `0..space`, split into the fixed chunk grid, across `workers` scoped
-/// threads.
+/// `0..space`, split into the fixed chunk grid, across `workers` threads
+/// of the worker pool ([`ashn_math::par::parallel_for`]). A panic in
+/// `apply` is re-raised on the caller once the other chunks have finished.
 ///
 /// Contract: `apply` must touch exactly the amplitude groups addressed by
 /// compressed indices `lo..hi`, and disjoint ranges must touch disjoint
@@ -127,8 +134,7 @@ pub(crate) fn run_chunked(
         return;
     }
     let chunks = ChunkPolicy::CHUNKS_PER_OP.min(space);
-    let workers = workers.min(chunks);
-    if workers <= 1 {
+    if workers.min(chunks) <= 1 {
         apply(amps, 0, space);
         return;
     }
@@ -136,31 +142,21 @@ pub(crate) fn run_chunked(
         ptr: amps.as_mut_ptr(),
         len: amps.len(),
     };
-    let next = AtomicUsize::new(0);
     // Capture the wrapper whole (not its fields): the `Sync` impl lives on
     // `SharedAmps`, and edition-2021 disjoint capture would otherwise try
-    // to send the bare `*mut Complex`.
-    let (shared, next, apply) = (&shared, &next, &apply);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(move || loop {
-                let chunk = next.fetch_add(1, Ordering::Relaxed);
-                if chunk >= chunks {
-                    break;
-                }
-                // The grid is a pure function of (space, chunks) — fixed
-                // for a given op, whatever the worker count.
-                let lo = chunk * space / chunks;
-                let hi = (chunk + 1) * space / chunks;
-                // SAFETY: ranges [lo, hi) partition 0..space across
-                // chunks, each compressed index addresses an amplitude
-                // group disjoint from every other index's, and `apply`
-                // honors its range — so no element is aliased across
-                // workers.
-                let view = unsafe { std::slice::from_raw_parts_mut(shared.ptr, shared.len) };
-                apply(view, lo, hi);
-            });
-        }
+    // to share the bare `*mut Complex`.
+    let shared = &shared;
+    parallel_for(workers, chunks, |chunk| {
+        // The grid is a pure function of (space, chunks) — fixed for a
+        // given op, whatever the worker count.
+        let lo = chunk * space / chunks;
+        let hi = (chunk + 1) * space / chunks;
+        // SAFETY: ranges [lo, hi) partition 0..space across chunks, each
+        // compressed index addresses an amplitude group disjoint from every
+        // other index's, and `apply` honors its range — so no element is
+        // aliased across workers.
+        let view = unsafe { std::slice::from_raw_parts_mut(shared.ptr, shared.len) };
+        apply(view, lo, hi);
     });
 }
 
@@ -202,5 +198,30 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_kernel_reraises_on_the_caller() {
+        let mut buf = vec![c(1.0, 0.0); 1 << 10];
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_chunked(&mut buf, 1 << 9, 2, |_, lo, _| {
+                if lo > 0 {
+                    panic!("kernel fault at {lo}");
+                }
+            })
+        }));
+        let payload = caught.expect_err("the kernel panic must reach the caller");
+        assert_eq!(
+            ashn_math::par::describe_panic(payload.as_ref()),
+            "kernel fault at 8",
+            "the lowest-indexed chunk's panic is re-raised"
+        );
+        // The next op on the same pool still runs every chunk.
+        run_chunked(&mut buf, 1 << 9, 2, |a, lo, hi| {
+            for pair in lo..hi {
+                a[2 * pair] = c(2.0, 0.0);
+            }
+        });
+        assert!(buf.iter().step_by(2).all(|z| z.re == 2.0));
     }
 }

@@ -25,7 +25,7 @@
 //! injects trajectory Paulis through the dedicated bit-twiddled kernels
 //! in [`ashn_ir::kernels`], never touching a `CMat` — and on large
 //! registers the `*_chunked` executors split every op's amplitude sweep
-//! across scoped threads ([`crate::chunk`]), bit-identically to the
+//! across the worker pool ([`crate::chunk`]), bit-identically to the
 //! scalar path.
 //!
 //! The instruction walk remains the differential reference:
@@ -231,8 +231,9 @@ impl KernelOp {
         self.apply_range(amps, 0, self.index_space(amps.len()));
     }
 
-    /// Applies the op across `workers` scoped threads over the fixed chunk
-    /// grid — bit-identical to [`KernelOp::apply`] at any worker count.
+    /// Applies the op across `workers` threads of the worker pool over the
+    /// fixed chunk grid — bit-identical to [`KernelOp::apply`] at any
+    /// worker count.
     #[inline]
     fn apply_chunked(&self, amps: &mut [Complex], workers: usize) {
         let space = self.index_space(amps.len());
@@ -483,9 +484,9 @@ impl ExecPlan {
     }
 
     /// [`ExecPlan::execute_pure`] with each op's amplitude sweep split
-    /// across `workers` scoped threads over the fixed chunk grid
-    /// ([`crate::ChunkPolicy`]) — bit-identical to the scalar path at any
-    /// worker count.
+    /// across `workers` threads of the worker pool over the fixed chunk
+    /// grid ([`crate::ChunkPolicy`]) — bit-identical to the scalar path at
+    /// any worker count.
     ///
     /// # Panics
     ///
@@ -523,8 +524,8 @@ impl ExecPlan {
     }
 
     /// [`ExecPlan::execute_trajectory`] with amplitude sweeps split across
-    /// `workers` scoped threads. All randomness is drawn on the calling
-    /// thread between ops, so the draw sequence — and, by chunked
+    /// `workers` threads of the worker pool. All randomness is drawn on the
+    /// calling thread between ops, so the draw sequence — and, by chunked
     /// determinism, the resulting state — is bit-identical to the scalar
     /// path at any worker count.
     ///

@@ -173,7 +173,7 @@ impl AshnBasis {
     }
 
     /// Fans the EA multistart of every pulse compilation over `workers`
-    /// scoped threads (`0` = one per hardware thread; default 1 = serial).
+    /// pool threads (`0` = one per hardware thread; default 1 = serial).
     /// Synthesized circuits are bit-identical for every worker count.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {

@@ -368,8 +368,9 @@ pub fn current() -> Registry {
 /// Makes `reg` the [`current()`] registry for this thread until the
 /// returned guard drops. Nests: the previous current is restored.
 ///
-/// Worker pools call this on each worker with the registry captured from
-/// the spawning thread, so batch work reports to the caller's registry.
+/// The worker pool calls this on a helper thread with the registry captured
+/// from the calling thread, for as long as the helper runs that caller's
+/// jobs, so batch work reports to the caller's registry.
 pub fn install(reg: &Registry) -> CurrentGuard {
     CURRENT.with(|stack| stack.borrow_mut().push(reg.clone()));
     CurrentGuard { _private: () }

@@ -20,9 +20,10 @@
 //!
 //! Everything routes through [`current()`]: the innermost registry
 //! [`install`]ed on this thread, else the process-wide [`global()`] one.
-//! Worker pools (`ashn_core::par`, `BatchRunner`) capture the caller's
-//! current registry and re-install it on their worker threads, so batch
-//! telemetry lands in one place regardless of the worker count.
+//! The worker pool (`ashn_core::par`, under `BatchRunner` too) captures the
+//! caller's current registry and installs it on a helper thread while the
+//! helper runs that caller's jobs, so batch telemetry lands in one place
+//! regardless of the worker count.
 //!
 //! There is one off switch, at runtime: [`Registry::set_enabled`]`(false)`
 //! makes every counter add, histogram record, and journal event on that
