@@ -174,6 +174,7 @@ fn diag_symmetric_unitary(m: &Mat4) -> Mat4 {
         1.732_050_807_57 / 2.0,
         0.12087012471,
     ];
+    let mut mixed = None;
     for &t in &mixes {
         let (_, vectors) = (x + y.scale(c(t, 0.0))).eigh();
         // The eigenvectors of a real symmetric matrix from our Jacobi sweep
@@ -185,28 +186,65 @@ fn diag_symmetric_unitary(m: &Mat4) -> Mat4 {
             }
         }
         if imag_sq.sqrt() > 1e-9 {
+            mixed.get_or_insert(vectors);
             continue;
         }
-        let mut o = vectors.map(|z| c(z.re, 0.0));
-        let d = o.transpose().matmul(m).matmul(&o);
-        let mut off = 0.0;
-        for r in 0..4 {
-            for cc in 0..4 {
-                if r != cc {
-                    off += d[(r, cc)].norm_sqr();
-                }
-            }
-        }
-        if off.sqrt() < 1e-8 {
-            if o.det().re < 0.0 {
-                let col = o.col(0);
-                let neg = [-col[0], -col[1], -col[2], -col[3]];
-                o.set_col(0, &neg);
-            }
+        if let Some(o) = diagonalising_rotation(m, vectors.map(|z| c(z.re, 0.0))) {
             return o;
         }
     }
+    // Inside a (near-)degenerate eigenvalue pair the Jacobi sweep may mix
+    // the eigenvectors by a complex phase. Any real basis of that pair
+    // diagonalises `M` to rounding, so rebuild one from the real and
+    // imaginary parts of the vectors.
+    if let Some(o) = mixed.and_then(|v| diagonalising_rotation(m, real_basis(&v))) {
+        return o;
+    }
     panic!("diag_symmetric_unitary: failed to diagonalise (input not symmetric unitary?)");
+}
+
+/// `o` with its determinant fixed to `+1`, when `oᵀ·m·o` is diagonal.
+fn diagonalising_rotation(m: &Mat4, mut o: Mat4) -> Option<Mat4> {
+    let d = o.transpose().matmul(m).matmul(&o);
+    let mut off = 0.0;
+    for r in 0..4 {
+        for cc in 0..4 {
+            if r != cc {
+                off += d[(r, cc)].norm_sqr();
+            }
+        }
+    }
+    if off.sqrt() >= 1e-8 {
+        return None;
+    }
+    if o.det().re < 0.0 {
+        let col = o.col(0);
+        let neg = [-col[0], -col[1], -col[2], -col[3]];
+        o.set_col(0, &neg);
+    }
+    Some(o)
+}
+
+/// A real orthonormal basis from complex `vectors`: per column, its real
+/// or imaginary part, whichever keeps more norm after Gram–Schmidt against
+/// the columns already taken.
+fn real_basis(vectors: &Mat4) -> Mat4 {
+    let norm = |v: &[f64; 4]| v.iter().map(|a| a * a).sum::<f64>().sqrt();
+    let mut o = Mat4::zeros();
+    for j in 0..4 {
+        let mut best = [0.0; 4];
+        for mut v in [vectors.col(j).map(|z| z.re), vectors.col(j).map(|z| z.im)] {
+            for q in (0..j).map(|k| o.col(k)) {
+                let dot: f64 = v.iter().zip(&q).map(|(a, b)| a * b.re).sum();
+                v.iter_mut().zip(&q).for_each(|(a, b)| *a -= dot * b.re);
+            }
+            if norm(&v) > norm(&best) {
+                best = v;
+            }
+        }
+        o.set_col(j, &best.map(|a| c(a / norm(&best), 0.0)));
+    }
+    o
 }
 
 /// State for the canonicalization moves, tracking local corrections.
@@ -771,6 +809,28 @@ mod tests {
             let dressed = l.matmul(&u).matmul(&r);
             let got = weyl_coordinates(&dressed);
             assert!(got.dist(base) < 1e-7, "expected {base}, got {got}");
+        }
+    }
+
+    #[test]
+    fn dressed_gates_next_to_the_y_z_zero_edge_decompose() {
+        // canonical(b, d, 0) for tiny d has a near-degenerate magic-basis
+        // eigenvalue pair, where the Jacobi eigenvectors come back mixed by
+        // a complex phase.
+        let mut rng = StdRng::seed_from_u64(211);
+        for d in [1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8] {
+            for i in 0..40 {
+                let b = 0.02 + 0.76 * i as f64 / 39.0;
+                let l = haar_su(2, &mut rng).kron(&haar_su(2, &mut rng));
+                let r = haar_su(2, &mut rng).kron(&haar_su(2, &mut rng));
+                let u = l.matmul(&canonical(b, d, 0.0)).matmul(&r);
+                let k = kak(&u);
+                assert!(
+                    k.error(&u) <= 1e-10,
+                    "b = {b}, d = {d}: {:.2e}",
+                    k.error(&u)
+                );
+            }
         }
     }
 

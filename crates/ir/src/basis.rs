@@ -107,8 +107,10 @@ pub trait Basis {
     /// two instances whose `name` and `cache_params` both match are
     /// promised to synthesize bit-identical circuits for the same target.
     /// Parameterized bases must override this with every parameter that
-    /// affects output (e.g. AshN's `ZZ` ratio `h̃` and cutoff `r`);
-    /// parameter-free bases keep the empty default.
+    /// affects output (e.g. AshN's `ZZ` ratio `h̃` and cutoff `r`), and a
+    /// basis whose synthesis method changed its output bits tags the method
+    /// (SQiSW's closed-form interleavers); other parameter-free bases keep
+    /// the empty default.
     fn cache_params(&self) -> String {
         String::new()
     }

@@ -72,10 +72,9 @@ pub fn structural_pipeline<'p>() -> PassManager<'p> {
 /// Acceptance tolerance for resynthesized blocks in [`standard_pipeline`]
 /// as both front ends run it: a replacement is committed only when its
 /// realized unitary is within this Frobenius distance of the block it
-/// replaces — the fidelity scale the numerical bases (AshN pulse
-/// compilation, the SQiSW interleaver search) synthesize to, so
-/// optimization never degrades fidelity below what compilation already
-/// delivers.
+/// replaces — the fidelity scale the numerical AshN pulse compilation
+/// synthesizes to, so optimization never degrades fidelity below what
+/// compilation already delivers.
 pub const OPT_ACCEPT_TOL: f64 = 1e-5;
 
 /// The full standard pipeline: the structural passes, closed-form

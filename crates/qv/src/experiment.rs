@@ -133,7 +133,7 @@ pub fn compile_model_on(
     let mut router = Router::new(grid, model.d);
     let mut circuit = Circuit::new(n_sites);
     // The routed SWAP is always the same circuit up to relabeling; compile
-    // it once (the SQiSW decomposition in particular is a numerical search).
+    // it once (the AshN pulse compilation in particular is a numerical search).
     let swap = basis.native_swap()?.fuse_single_qubit_runs();
     for layer in &model.layers {
         let pairs: Vec<(usize, usize)> = layer.iter().map(|(p, _)| *p).collect();

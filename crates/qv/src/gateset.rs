@@ -48,8 +48,8 @@ impl GateSet {
     ///
     /// # Errors
     ///
-    /// [`SynthError`] when synthesis fails (e.g. the SQiSW interleaver
-    /// search does not converge) instead of the former `expect` panic.
+    /// [`SynthError`] when synthesis fails (e.g. the AshN pulse search
+    /// does not converge) instead of the former `expect` panic.
     pub fn compile_circuit(&self, u: &CMat) -> Result<Circuit, SynthError> {
         self.basis()
             .synthesize(u)

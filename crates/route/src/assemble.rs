@@ -12,8 +12,8 @@ use ashn_ir::{Circuit, SynthError};
 /// Expands routed operations into one `n_sites`-qubit circuit.
 ///
 /// `swap` is the compiled two-qubit SWAP fragment (compiled once — the
-/// routed SWAP is the same circuit up to relabeling, and e.g. the SQiSW
-/// decomposition is a numerical search). `gate(index)` supplies the
+/// routed SWAP is the same circuit up to relabeling, and e.g. the AshN
+/// pulse compilation is a numerical search). `gate(index)` supplies the
 /// compiled two-qubit fragment of the layer gate `index`; both fragments
 /// are circuits on qubits `{0, 1}`, as produced by
 /// [`ashn_ir::Basis::synthesize`].

@@ -110,13 +110,20 @@ impl Basis for EcrBasis {
 }
 
 /// Flux-tuned SQiSW (√iSWAP): 1–3 applications after Huang et al. \[30\],
-/// with numerically searched interleavers (gate time `π/4 · 1/g`).
+/// with closed-form interleavers (gate time `π/4 · 1/g`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SqiswBasis;
 
 impl Basis for SqiswBasis {
     fn name(&self) -> String {
         "SQiSW".into()
+    }
+
+    // A solver tag: caches persisted while the interleavers were searched
+    // numerically hold other bits for the same class, and must not serve
+    // them under this key.
+    fn cache_params(&self) -> String {
+        "interleavers=closed-form".into()
     }
 
     fn synthesize(&self, u: &CMat) -> Result<Circuit, SynthError> {

@@ -1,9 +1,8 @@
 //! A bounded synthesis memo-cache keyed by quantized Weyl coordinates.
 //!
 //! Two-qubit synthesis cost is dominated by per-*class* work — the AshN
-//! pulse compilation and the SQiSW interleaver search are numerical
-//! searches over the local-equivalence class of the target, not the target
-//! itself. [`CachedBasis`] exploits that: the first synthesis of a class
+//! pulse compilation is a numerical search over the local-equivalence
+//! class of the target, not the target itself. [`CachedBasis`] exploits that: the first synthesis of a class
 //! stores the resulting circuit, and later targets of the same class are
 //! served by re-dressing the stored circuit with KAK-computed single-qubit
 //! corrections ([`align_to_target`]) instead of re-running the search.

@@ -3,9 +3,9 @@
 //!
 //! Production traffic is dominated by circuits expressed over a *known*
 //! gate set (CX, CZ, ECR, SQiSW, …) being compiled to hardware exposing
-//! another known set. For those pairs the full numeric path — KAK, the
-//! SQiSW interleaver search, the AshN EA pulse compilation — is overkill:
-//! the gates are Weyl-equivalent (or related by a classic exact
+//! another known set. For those pairs the full synthesis path — KAK and
+//! re-dressing for CNOT/CZ/SQiSW, the AshN EA pulse compilation — is
+//! overkill: the gates are Weyl-equivalent (or related by a classic exact
 //! construction) and the retargeting is a table lookup emitting an exact
 //! circuit fragment.
 //!

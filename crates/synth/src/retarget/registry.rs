@@ -186,8 +186,13 @@ mod tests {
     #[test]
     fn standard_registry_contains_the_builtin_sets() {
         let reg = GateSetRegistry::standard();
-        for name in ["CNOT", "CZ", "ECR", "SQiSW"] {
-            assert!(reg.get(name, "").is_some(), "{name} missing");
+        let bases: [&dyn Basis; 4] = [&CnotBasis, &CzBasis, &EcrBasis, &SqiswBasis];
+        for basis in bases {
+            let name = basis.name();
+            assert!(
+                reg.get(&name, &basis.cache_params()).is_some(),
+                "{name} missing"
+            );
         }
         assert!(reg.sets().iter().any(|s| s.name.starts_with("AshN")));
     }

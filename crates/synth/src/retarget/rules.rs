@@ -12,12 +12,14 @@
 //! numeric runs at serve time.
 
 use super::registry::{ecr_reversed, GateSetRegistry};
+use crate::basis::{CnotBasis, CzBasis, EcrBasis, SqiswBasis};
 use crate::cache::ClassEntry;
 use crate::circuit2::{align_to_target, Op2, TwoQubitCircuit};
 use crate::cnot_basis::{cnot_reversed, to_cz_basis, to_ecr_basis, two_cnot_core, CZ_DURATION};
 use crate::sqisw_basis::SQISW_DURATION;
 use ashn_gates::two::{cnot, cz, ecr, iswap, sqisw, swap};
 use ashn_gates::weyl::WeylPoint;
+use ashn_ir::Basis;
 use ashn_math::{CMat, Complex};
 use std::sync::{Arc, OnceLock};
 
@@ -143,9 +145,10 @@ impl RuleSet {
     /// Coverage: the CNOT, CZ, and ECR target sets serve all four named
     /// classes (CX-family, iSWAP, SWAP, SQiSW); the SQiSW target set
     /// serves its own class, the CX family (two entanglers via the
-    /// SQiSW-pair identity), and iSWAP (`E·E`) — SWAP over SQiSW has no
-    /// closed form and stays on the numeric path, as does everything for
-    /// the Continuous AshN sets (the pulse compiler *is* their fast path).
+    /// SQiSW-pair identity), and iSWAP (`E·E`). SWAP over SQiSW is not a
+    /// rule: `SqiswBasis` builds its three-application circuit in closed
+    /// form on every serve. The Continuous AshN sets have no rules (the
+    /// pulse compiler *is* their fast path).
     pub fn standard() -> Self {
         let registry = GateSetRegistry::standard();
         let x = ashn_gates::pauli::Pauli::X.matrix();
@@ -250,15 +253,13 @@ impl RuleSet {
             ],
         };
 
+        let key = |basis: &dyn Basis| (basis.name(), basis.cache_params());
         let rules = vec![
-            (("CNOT".to_string(), String::new()), cnot_family(&|c| c)),
-            (("CZ".to_string(), String::new()), cnot_family(&to_cz_basis)),
+            (key(&CnotBasis), cnot_family(&|c| c)),
+            (key(&CzBasis), cnot_family(&to_cz_basis)),
+            (key(&EcrBasis), cnot_family(&to_ecr_basis)),
             (
-                ("ECR".to_string(), String::new()),
-                cnot_family(&to_ecr_basis),
-            ),
-            (
-                ("SQiSW".to_string(), String::new()),
+                key(&SqiswBasis),
                 vec![
                     class_rule(
                         "sqisw-class",
@@ -356,7 +357,7 @@ mod tests {
     fn sqisw_pair_identity_realizes_the_cnot_class_exactly() {
         let rules = standard_rules();
         let rule = rules
-            .class_rule("SQiSW", "", WeylPoint::CNOT)
+            .class_rule("SQiSW", &SqiswBasis.cache_params(), WeylPoint::CNOT)
             .expect("cx-class over SQiSW");
         assert_eq!(rule.entanglers(), 2);
         let can = ashn_gates::two::canonical(std::f64::consts::FRAC_PI_4, 0.0, 0.0);
@@ -370,13 +371,15 @@ mod tests {
     #[test]
     fn swap_has_no_rule_over_sqisw() {
         let rules = standard_rules();
-        assert!(rules.class_rule("SQiSW", "", WeylPoint::SWAP).is_none());
+        let params = SqiswBasis.cache_params();
+        assert!(rules
+            .class_rule("SQiSW", &params, WeylPoint::SWAP)
+            .is_none());
         assert!(rules.class_rule("CZ", "", WeylPoint::SWAP).is_some());
     }
 
     #[test]
     fn ashn_sets_have_no_rules() {
-        use ashn_ir::Basis;
         let rules = standard_rules();
         let ashn = crate::basis::AshnBasis::ideal();
         assert!(rules
@@ -408,10 +411,12 @@ mod tests {
     #[test]
     fn rewrite_exact_covers_the_cx_family_everywhere() {
         let rules = standard_rules();
-        for target in ["CNOT", "CZ", "ECR", "SQiSW"] {
+        let targets: [&dyn Basis; 4] = [&CnotBasis, &CzBasis, &EcrBasis, &SqiswBasis];
+        for target in targets {
+            let (target, params) = (target.name(), target.cache_params());
             for (gate, m) in [("CX", cnot()), ("CZ", cz()), ("ECR", ecr())] {
                 let g = rules
-                    .rewrite_exact(&m, target, "")
+                    .rewrite_exact(&m, &target, &params)
                     .unwrap_or_else(|| panic!("{gate} over {target}"));
                 assert!(g.circuit.error(&m) < RULE_TOL, "{gate} over {target}");
             }

@@ -18,7 +18,7 @@ impl RuleSet {
     /// any other member of a covered class gets the rule's exact core,
     /// re-dressed to `u` by the memo-cache's serve logic
     /// ([`serve_from_entry`]). Nothing is read from a store or written to
-    /// one, and the numeric path — memo-cache, EA, interleaver search —
+    /// one, and the numeric path — memo-cache, basis synthesis, EA —
     /// never runs.
     ///
     /// Returns `None` when no rule covers the class (or the rule's core

@@ -37,7 +37,9 @@ fn source_circuit(source: &str, n: usize, depth: usize, rng: &mut StdRng) -> Cir
     let registry = standard_rules();
     let set = registry
         .registry()
-        .get(source, "")
+        .sets()
+        .iter()
+        .find(|s| s.name == source)
         .unwrap_or_else(|| panic!("{source} registered"));
     let mut circuit = Circuit::new(n);
     for q in 0..n {
@@ -103,7 +105,12 @@ proptest! {
         let registry = standard_rules();
         for _ in 0..5 {
             let source = SOURCE_SETS[rng.gen_range(0..SOURCE_SETS.len())];
-            let set = registry.registry().get(source, "").unwrap();
+            let set = registry
+                .registry()
+                .sets()
+                .iter()
+                .find(|s| s.name == source)
+                .unwrap();
             let gate = &set.gates[rng.gen_range(0..set.gates.len())];
             let a = rng.gen_range(0..n);
             let mut b = rng.gen_range(0..n - 1);
