@@ -11,7 +11,10 @@
 //!   [`ashn_math::par::default_workers`], so `ASHN_WORKERS` applies).
 //!
 //! Reported per row: time per circuit gate (pure run) and trajectories per
-//! second (noisy ensemble), both paths. Before any timing the sweep
+//! second (noisy ensemble), both paths. The scalar and threaded runs of a
+//! row are timed alternately for [`ROUNDS`] rounds and each reports its
+//! fastest round, so load drift on a shared machine hits both paths alike
+//! and the rounds it slowed drop out. Before any timing the sweep
 //! asserts the chunked-kernel determinism contract — output probabilities
 //! **bit-identical** at 1 / 2 / 8 workers for every parallel-eligible n —
 //! and, on machines with ≥ 4 cores, that the threaded path is ≥ 2x faster
@@ -81,22 +84,35 @@ fn scaling_circuit(n: usize, noisy: bool, rng: &mut StdRng) -> Circuit {
     circuit
 }
 
-/// Wall-clock ns per call, adaptively repeated: one estimation call, then
-/// enough repeats for ~300 ms of timed work (capped at 64). Single call in
-/// smoke mode.
-fn time_run(test_mode: bool, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    f();
-    let first = start.elapsed().as_nanos().max(1);
-    if test_mode {
-        return first as f64;
-    }
-    let reps = (300_000_000 / first).clamp(1, 64) as u32;
+/// Alternating timing rounds per measured pair.
+const ROUNDS: usize = 5;
+
+/// Mean wall-clock ns per call over a batch of `reps` calls.
+fn time_batch(f: &mut impl FnMut(), reps: u32) -> f64 {
     let start = Instant::now();
     for _ in 0..reps {
         f();
     }
-    start.elapsed().as_nanos() as f64 / f64::from(reps)
+    (start.elapsed().as_nanos().max(1) as f64) / f64::from(reps)
+}
+
+/// Wall-clock ns per call of `a` and of `b`: one estimation call each, then
+/// [`ROUNDS`] rounds that each time a batch of `a` and then a batch of `b`
+/// (batches sized for ~30 ms, capped at 64 calls). Each side reports its
+/// fastest round. A single call each in smoke mode.
+fn time_pair(test_mode: bool, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let (first_a, first_b) = (time_batch(&mut a, 1), time_batch(&mut b, 1));
+    if test_mode {
+        return (first_a, first_b);
+    }
+    let reps = |first: f64| (30e6 / first).clamp(1.0, 64.0) as u32;
+    let (reps_a, reps_b) = (reps(first_a), reps(first_b));
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUNDS {
+        best_a = best_a.min(time_batch(&mut a, reps_a));
+        best_b = best_b.min(time_batch(&mut b, reps_b));
+    }
+    (best_a, best_b)
 }
 
 struct Row {
@@ -168,12 +184,15 @@ fn main() {
 
         let mut scalar = SimEngine::new(n).with_chunk_policy(ChunkPolicy::scalar());
         let mut threaded = SimEngine::new(n).with_chunk_policy(ChunkPolicy::auto());
-        let scalar_ns = time_run(test_mode, || {
-            black_box(scalar.run_plan(black_box(&plan)).amplitudes()[0]);
-        });
-        let threaded_ns = time_run(test_mode, || {
-            black_box(threaded.run_plan(black_box(&plan)).amplitudes()[0]);
-        });
+        let (scalar_ns, threaded_ns) = time_pair(
+            test_mode,
+            || {
+                black_box(scalar.run_plan(black_box(&plan)).amplitudes()[0]);
+            },
+            || {
+                black_box(threaded.run_plan(black_box(&plan)).amplitudes()[0]);
+            },
+        );
 
         // Trajectory throughput: K noisy trajectories per timed call, K
         // scaled down with the register so big sizes stay tractable.
@@ -187,25 +206,28 @@ fn main() {
             2
         };
         let mut rng_s = StdRng::seed_from_u64(seed);
-        let scalar_traj_ns = time_run(test_mode, || {
-            for _ in 0..k {
-                black_box(
-                    scalar
-                        .run_plan_trajectory(black_box(&noisy_plan), &mut rng_s)
-                        .amplitudes()[0],
-                );
-            }
-        });
         let mut rng_t = StdRng::seed_from_u64(seed);
-        let threaded_traj_ns = time_run(test_mode, || {
-            for _ in 0..k {
-                black_box(
-                    threaded
-                        .run_plan_trajectory(black_box(&noisy_plan), &mut rng_t)
-                        .amplitudes()[0],
-                );
-            }
-        });
+        let (scalar_traj_ns, threaded_traj_ns) = time_pair(
+            test_mode,
+            || {
+                for _ in 0..k {
+                    black_box(
+                        scalar
+                            .run_plan_trajectory(black_box(&noisy_plan), &mut rng_s)
+                            .amplitudes()[0],
+                    );
+                }
+            },
+            || {
+                for _ in 0..k {
+                    black_box(
+                        threaded
+                            .run_plan_trajectory(black_box(&noisy_plan), &mut rng_t)
+                            .amplitudes()[0],
+                    );
+                }
+            },
+        );
 
         let row = Row {
             n,

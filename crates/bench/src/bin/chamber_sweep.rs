@@ -12,9 +12,10 @@
 //! cargo run --release -p ashn-bench --bin chamber_sweep -- --step 0.04 --seed 7
 //! ```
 //!
-//! `--attempts` (default 1) sets `CompileService::max_attempts`. The
-//! service runs on the pool's default worker count; output is identical at
-//! any worker count.
+//! The sweep is a gate: it exits non-zero when any basis fails a grid class
+//! or a `CPhase` target. Every basis synthesizes deterministically, so the
+//! service gets one attempt per target. It runs on the pool's default
+//! worker count; output is identical at any worker count.
 
 use ashn_bench::{row, sci, Args};
 use ashn_gates::two::canonical;
@@ -84,8 +85,8 @@ struct Sweep {
     seconds: f64,
 }
 
-fn sweep<B: Basis + Sync>(basis: B, targets: &[CMat], attempts: u32) -> Sweep {
-    let service = CompileService::new(basis).max_attempts(attempts).workers(0);
+fn sweep<B: Basis + Sync>(basis: B, targets: &[CMat]) -> Sweep {
+    let service = CompileService::new(basis).workers(0);
     let start = Instant::now();
     let batch = service.synthesize_batch(targets);
     let seconds = start.elapsed().as_secs_f64();
@@ -108,26 +109,25 @@ fn sweep<B: Basis + Sync>(basis: B, targets: &[CMat], attempts: u32) -> Sweep {
 type Runner = Box<dyn Fn(&[CMat]) -> Sweep>;
 
 /// The compared bases, labelled.
-fn bases(attempts: u32) -> Vec<(&'static str, Runner)> {
+fn bases() -> Vec<(&'static str, Runner)> {
     vec![
-        ("CZ", Box::new(move |t| sweep(CzBasis, t, attempts))),
-        ("SQiSW", Box::new(move |t| sweep(SqiswBasis, t, attempts))),
+        ("CZ", Box::new(|t| sweep(CzBasis, t))),
+        ("SQiSW", Box::new(|t| sweep(SqiswBasis, t))),
         (
             "AshN(r=0)",
-            Box::new(move |t| sweep(AshnBasis::with_cutoff(0.0, 0.0), t, attempts)),
+            Box::new(|t| sweep(AshnBasis::with_cutoff(0.0, 0.0), t)),
         ),
         (
             "AshN(r=1.1)",
-            Box::new(move |t| sweep(AshnBasis::with_cutoff(0.0, 1.1), t, attempts)),
+            Box::new(|t| sweep(AshnBasis::with_cutoff(0.0, 1.1), t)),
         ),
     ]
 }
 
 fn main() {
-    let args = Args::parse(&["step", "seed", "attempts"]);
+    let args = Args::parse(&["step", "seed"]);
     let step: f64 = args.get("step", 0.04);
     let seed: u64 = args.get("seed", 7);
-    let attempts: u32 = args.get("attempts", 1);
     assert!(step > 0.0, "bad --step: must be positive");
 
     let points = chamber_grid(step);
@@ -139,7 +139,7 @@ fn main() {
     let cphases: Vec<CMat> = (1..=16).map(|k| cphase(k as f64 * PI / 16.0)).collect();
 
     println!(
-        "Weyl-chamber sweep: {} classes at step {step} rad, seed {seed}, {attempts} attempt(s)\n",
+        "Weyl-chamber sweep: {} classes at step {step} rad, seed {seed}\n",
         points.len()
     );
     row(&[
@@ -149,7 +149,8 @@ fn main() {
         "max error".into(),
         "seconds".into(),
     ]);
-    let bases = bases(attempts);
+    let bases = bases();
+    let mut failures = 0;
     let mut off_edge: Vec<(&str, [f64; 3])> = Vec::new();
     for (name, run) in &bases {
         let s = run(&targets);
@@ -158,6 +159,7 @@ fn main() {
             .iter()
             .partition(|&&i| on_degenerate_edge(points[i]));
         off_edge.extend(off.iter().map(|&i| (*name, points[i])));
+        failures += s.failed.len();
         row(&[
             name.to_string(),
             s.failed.len().to_string(),
@@ -166,9 +168,9 @@ fn main() {
             format!("{:.1}", s.seconds),
         ]);
     }
-    if off_edge.is_empty() {
+    if failures > 0 && off_edge.is_empty() {
         println!("\nevery failure lies on the x = y or y = |z| edge");
-    } else {
+    } else if !off_edge.is_empty() {
         println!("\nfailures off both edges:");
         for (name, [x, y, z]) in &off_edge {
             println!("  {name}: ({x:.4}, {y:.4}, {z:.4})");
@@ -179,6 +181,7 @@ fn main() {
     row(&["basis".into(), "failures".into(), "failing k".into()]);
     for (name, run) in &bases {
         let s = run(&cphases);
+        failures += s.failed.len();
         let ks: Vec<String> = s.failed.iter().map(|i| (i + 1).to_string()).collect();
         row(&[
             name.to_string(),
@@ -189,6 +192,10 @@ fn main() {
                 ks.join(",")
             },
         ]);
+    }
+    if failures > 0 {
+        eprintln!("\n{failures} target(s) failed synthesis");
+        std::process::exit(1);
     }
 }
 

@@ -33,8 +33,7 @@ pub mod hamiltonian;
 pub mod nd;
 /// The deterministic worker pool (see [`ashn_math::par`]): it lives in
 /// `ashn-math` so `ashn_sim::BatchRunner` runs on the same pool, and
-/// `ashn_core::par` keeps the path the EA multistart and `CompileService`
-/// use.
+/// `ashn_core::par` keeps the path `CompileService` uses.
 pub mod par {
     pub use ashn_math::par::*;
 }

@@ -2,7 +2,7 @@
 //! Weyl-chamber class to the ND / EA+ / EA− / ND-EXT sub-scheme that attains
 //! it in optimal time (or in extended time `π − 2x` under the cutoff `r`).
 
-use crate::ea::{ashn_ea_search, EaSearch, EaVariant};
+use crate::ea::{ashn_ea, EaVariant};
 use crate::hamiltonian::{evolve, DriveParams};
 use crate::nd::{ashn_nd, ashn_nd_ext};
 use ashn_gates::cost::optimal_time_branches;
@@ -128,7 +128,6 @@ impl std::error::Error for CompileError {}
 pub struct AshnScheme {
     h_ratio: f64,
     cutoff: f64,
-    workers: usize,
 }
 
 impl AshnScheme {
@@ -152,21 +151,7 @@ impl AshnScheme {
             (0.0..=(1.0 - h_ratio.abs()) * FRAC_PI_2 + 1e-12).contains(&cutoff),
             "cutoff r must lie in [0, (1−|h̃|)π/2], got {cutoff}"
         );
-        Self {
-            h_ratio,
-            cutoff,
-            workers: 1,
-        }
-    }
-
-    /// Fans the EA multistart over `workers` pool threads (`0` = one per
-    /// hardware thread; default 1 = serial). The compiled pulse is
-    /// bit-identical for every worker count — the multistart winner is
-    /// selected by stable `(error, seed-index)` order.
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
+        Self { h_ratio, cutoff }
     }
 
     /// The `ZZ` ratio this scheme compiles for.
@@ -177,11 +162,6 @@ impl AshnScheme {
     /// The cutoff `r`.
     pub fn cutoff(&self) -> f64 {
         self.cutoff
-    }
-
-    /// Worker threads used by the EA multistart (`0` = hardware default).
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Gate time (units of `1/g`) that [`AshnScheme::compile`] will use for
@@ -217,28 +197,6 @@ impl AshnScheme {
     /// Returns [`CompileError`] when no sub-scheme realizes the target — which
     /// indicates a numerical failure, since Theorems 4–6 guarantee coverage.
     pub fn compile(&self, target: WeylPoint) -> Result<AshnPulse, CompileError> {
-        self.compile_with_search(
-            target,
-            &EaSearch {
-                workers: self.workers,
-                ..EaSearch::default()
-            },
-        )
-    }
-
-    /// [`AshnScheme::compile`] with explicit search effort: `search` sets
-    /// the EA multistart fan-out and escalation rounds (see [`EaSearch`];
-    /// with `extra_rounds == 0` and `search.workers == self.workers` this
-    /// is bit-identical to [`AshnScheme::compile`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AshnScheme::compile`].
-    pub fn compile_with_search(
-        &self,
-        target: WeylPoint,
-        search: &EaSearch,
-    ) -> Result<AshnPulse, CompileError> {
         let p = target.canonicalize();
         let (t1, t2) = optimal_time_branches(self.h_ratio, p);
         let topt = t1.min(t2);
@@ -292,14 +250,12 @@ impl AshnScheme {
                 SubScheme::Nd => ashn_nd(self.h_ratio, x, y, z)
                     .map(|(tau, d)| (tau, d, SubScheme::Nd))
                     .map_err(|e| e.to_string()),
-                SubScheme::EaPlus => ashn_ea_search(self.h_ratio, EaVariant::Plus, x, y, z, search)
+                SubScheme::EaPlus => ashn_ea(self.h_ratio, EaVariant::Plus, x, y, z)
                     .map(|(tau, d)| (tau, d, SubScheme::EaPlus))
                     .map_err(|e| e.to_string()),
-                SubScheme::EaMinus => {
-                    ashn_ea_search(self.h_ratio, EaVariant::Minus, x, y, z, search)
-                        .map(|(tau, d)| (tau, d, SubScheme::EaMinus))
-                        .map_err(|e| e.to_string())
-                }
+                SubScheme::EaMinus => ashn_ea(self.h_ratio, EaVariant::Minus, x, y, z)
+                    .map(|(tau, d)| (tau, d, SubScheme::EaMinus))
+                    .map_err(|e| e.to_string()),
                 SubScheme::NdExt => {
                     return self.try_nd_ext(p).map_err(|e| CompileError {
                         target: p,

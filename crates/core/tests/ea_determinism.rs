@@ -1,10 +1,9 @@
-//! Determinism suite for the parallel EA multistart (mirror of
-//! `crates/sim/tests/determinism.rs` for the synthesis side): the compiled
-//! drive parameters must be **bit-identical** for 1, 2, and 8 workers, both
-//! through `ashn_ea_multistart` directly and through the full
-//! `AshnScheme::compile` dispatch.
+//! Determinism of the EA solve: the same target must compile to the same
+//! drive bits on every call, both through `ashn_ea` directly and through
+//! the full `AshnScheme::compile` dispatch. Synthesis caches key circuits
+//! by class and promise bit-identical output for a repeated target.
 
-use ashn_core::ea::{ashn_ea_multistart, EaVariant};
+use ashn_core::ea::{ashn_ea, EaVariant};
 use ashn_core::hamiltonian::DriveParams;
 use ashn_core::scheme::AshnScheme;
 use ashn_gates::weyl::WeylPoint;
@@ -15,7 +14,7 @@ fn drive_bits(d: DriveParams) -> (u64, u64, u64) {
 }
 
 #[test]
-fn ea_multistart_is_bit_identical_across_worker_counts() {
+fn repeated_solves_are_bit_identical() {
     let targets = [
         (0.0, EaVariant::Plus, 0.5, 0.45, 0.2),
         (0.0, EaVariant::Minus, 0.6, 0.55, -0.3),
@@ -23,55 +22,33 @@ fn ea_multistart_is_bit_identical_across_worker_counts() {
         (0.0, EaVariant::Plus, FRAC_PI_4, FRAC_PI_4, 0.1),
     ];
     for (h, variant, x, y, z) in targets {
-        let (tau_ref, drive_ref) = ashn_ea_multistart(h, variant, x, y, z, 1)
-            .unwrap_or_else(|e| panic!("reference solve failed: {e}"));
-        for workers in [2, 8] {
-            let (tau, drive) = ashn_ea_multistart(h, variant, x, y, z, workers)
-                .unwrap_or_else(|e| panic!("{workers}-worker solve failed: {e}"));
-            assert_eq!(
-                tau.to_bits(),
-                tau_ref.to_bits(),
-                "tau differs at {workers} workers for ({x},{y},{z})"
-            );
-            assert_eq!(
-                drive_bits(drive),
-                drive_bits(drive_ref),
-                "drive differs at {workers} workers for ({x},{y},{z})"
-            );
-        }
+        let solve =
+            || ashn_ea(h, variant, x, y, z).unwrap_or_else(|e| panic!("({x},{y},{z}): {e}"));
+        let (tau_ref, drive_ref) = solve();
+        let (tau, drive) = solve();
+        assert_eq!(tau.to_bits(), tau_ref.to_bits(), "tau for ({x},{y},{z})");
+        assert_eq!(
+            drive_bits(drive),
+            drive_bits(drive_ref),
+            "drive for ({x},{y},{z})"
+        );
     }
-}
 
-#[test]
-fn scheme_compile_is_bit_identical_across_worker_counts() {
-    // Targets picked on EA faces so the multistart actually runs (ND is
-    // closed-form and trivially deterministic).
-    let targets = [
+    // Targets on EA faces, so the dispatch runs the numerical solve (ND is
+    // closed form).
+    for p in [
         WeylPoint::new(0.5, 0.45, 0.2),
         WeylPoint::new(0.6, 0.55, -0.3),
         WeylPoint::new(FRAC_PI_4, FRAC_PI_4, FRAC_PI_4),
-    ];
-    for p in targets {
-        let reference = AshnScheme::new(0.0)
-            .with_workers(1)
-            .compile(p)
-            .unwrap_or_else(|e| panic!("{e}"));
-        for workers in [2, 8] {
-            let got = AshnScheme::new(0.0)
-                .with_workers(workers)
+    ] {
+        let compile = || {
+            AshnScheme::new(0.0)
                 .compile(p)
-                .unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(got.scheme, reference.scheme, "sub-scheme flipped at {p}");
-            assert_eq!(got.tau.to_bits(), reference.tau.to_bits());
-            assert_eq!(drive_bits(got.drive), drive_bits(reference.drive));
-        }
+                .unwrap_or_else(|e| panic!("{e}"))
+        };
+        let (a, b) = (compile(), compile());
+        assert_eq!(a.scheme, b.scheme, "sub-scheme flipped at {p}");
+        assert_eq!(a.tau.to_bits(), b.tau.to_bits());
+        assert_eq!(drive_bits(a.drive), drive_bits(b.drive));
     }
-}
-
-#[test]
-fn zero_workers_means_hardware_default_and_same_result() {
-    let (tau_ref, drive_ref) = ashn_ea_multistart(0.0, EaVariant::Plus, 0.5, 0.45, 0.2, 1).unwrap();
-    let (tau, drive) = ashn_ea_multistart(0.0, EaVariant::Plus, 0.5, 0.45, 0.2, 0).unwrap();
-    assert_eq!(tau.to_bits(), tau_ref.to_bits());
-    assert_eq!(drive_bits(drive), drive_bits(drive_ref));
 }

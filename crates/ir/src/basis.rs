@@ -84,9 +84,10 @@ pub struct BasisMetadata {
 /// Search-effort hints for [`Basis::synthesize_with_effort`].
 ///
 /// The default value (`attempt = 0`) asks for the basis's normal
-/// synthesis; retry layers raise `attempt` on each re-try so bases with a
-/// numerical search can widen it (e.g. AshN's EA escalation rounds). Bases
-/// without a numerical search ignore the hint entirely.
+/// synthesis; retry layers raise `attempt` on each re-try. No in-tree basis
+/// widens its search on the hint any more: CNOT/CZ and SQiSW are closed
+/// form, and AshN's EA solve is one deterministic pass. The hint stays for
+/// out-of-tree bases and wrappers that forward it.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct SynthEffort {
     /// Zero-based retry attempt; attempt `k > 0` should search wider than
@@ -125,9 +126,9 @@ pub trait Basis {
     fn synthesize(&self, u: &CMat) -> Result<Circuit, SynthError>;
 
     /// [`Basis::synthesize`] with explicit search effort. The default
-    /// implementation ignores the hint (correct for closed-form bases,
-    /// whose synthesis cannot fail numerically); bases with a numerical
-    /// search should widen their multistart for `effort.attempt > 0`.
+    /// implementation ignores the hint, and no in-tree basis overrides it;
+    /// wrappers forward it to the basis they wrap. A basis whose search
+    /// can widen may do so for `effort.attempt > 0`.
     ///
     /// The cache-coherence contract: for any effort, a success must
     /// realize the same target (caches may store circuits produced at any

@@ -33,7 +33,6 @@ pub mod mat;
 pub mod neldermead;
 pub mod par;
 pub mod randmat;
-pub mod roots;
 pub mod smat;
 pub mod special;
 pub mod splitmix;

@@ -1,8 +1,8 @@
 //! The workspace's one worker pool.
 //!
-//! Every parallel fan-out in the stack runs here: the EA multistart and
-//! `CompileService` through `ashn_core::par` (a re-export of this module),
-//! the trajectory ensembles, `ashn-qv` experiments and paper-figure bins
+//! Every parallel fan-out in the stack runs here: `CompileService`
+//! through `ashn_core::par` (a re-export of this module), the trajectory
+//! ensembles, `ashn-qv` experiments and paper-figure bins
 //! through `ashn_sim::BatchRunner`, which only adds per-job seeded RNG
 //! streams on top of [`parallel_map`], and the chunked statevector kernels
 //! of `ashn_sim`, which split each plan op through [`parallel_for`].
@@ -19,9 +19,8 @@
 //! plan ops arrive microseconds apart, while a condvar wake-up can cost
 //! tens of microseconds and spawning a thread costs hundreds. The caller always runs
 //! jobs of its own batch and waits only for jobs that a running helper has
-//! already claimed, so a job may fan out again (the service's cold prime
-//! runs the EA multistart inside a pool job) without ever waiting for a
-//! free helper.
+//! already claimed, so a job may fan out again from inside a pool job
+//! without ever waiting for a free helper.
 //!
 //! **Zero workers means "use the default"** ([`default_workers`], which
 //! honors `ASHN_WORKERS`). This is the canonical statement of the

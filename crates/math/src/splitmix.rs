@@ -1,6 +1,6 @@
 //! SplitMix64: the one integer mixer behind every derived seed in the
-//! workspace — `BatchRunner` job streams, failpoint probability streams,
-//! EA escalation jitter and retry jitter.
+//! workspace — `BatchRunner` job streams and failpoint probability
+//! streams.
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function.
 #[inline]

@@ -11,11 +11,11 @@
 //!   any corruption instead of failing.
 //! - [`CompileService`]: the batch engine. A batch of circuits (or raw
 //!   `SU(4)` targets) is canonicalized to quantized Weyl classes,
-//!   deduplicated *batch-wide* before any EA search runs, solved on the
+//!   deduplicated *batch-wide* before any EA solve runs, solved on the
 //!   workspace's one deterministic worker pool (`ashn_core::par`), and
 //!   served per request by re-dressing the class solutions. Batch output is bit-identical at
 //!   any worker count. Two settings govern failures: cold synthesis gets
-//!   up to [`CompileService::max_attempts`] escalating attempts, and every
+//!   up to [`CompileService::max_attempts`] attempts, and every
 //!   served circuit is verified at [`CompileService::verify_tol`]; a
 //!   target that still fails degrades to an exact CNOT decomposition.
 //! - The facade: `ashn::Compiler` keeps its memo store in a

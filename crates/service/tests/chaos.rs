@@ -221,7 +221,7 @@ fn ea_nonconvergence_degrades_ashn_targets_gracefully() {
     fault::configure("core::ea::convergence", FaultMode::Always);
 
     // Weyl classes with `x < y + z`: the EA faces bind, so the scheme
-    // cascade tries `ashn_ea_search` first and the failpoint is guaranteed
+    // cascade tries `ashn_ea` first and the failpoint is guaranteed
     // to be exercised. Dressings vary the unitary within each class.
     let mut rng = StdRng::seed_from_u64(0xea);
     let coords = [

@@ -172,6 +172,66 @@ fn scheme_parameters_survive_persistence_and_never_cross_hit() {
     std::fs::remove_file(&path).ok();
 }
 
+/// An AshN basis keyed the way caches were keyed while the EA polish
+/// matched Makhlin invariants: `h` and `r` only, with no solver tag.
+struct InvariantPolishAshn(AshnBasis);
+
+impl Basis for InvariantPolishAshn {
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn cache_params(&self) -> String {
+        let scheme = self.0.scheme;
+        format!("h={:?};r={:?}", scheme.h_ratio(), scheme.cutoff())
+    }
+
+    fn synthesize(&self, u: &CMat) -> Result<ashn_ir::Circuit, ashn_ir::SynthError> {
+        self.0.synthesize(u)
+    }
+
+    fn expected_entanglers(&self, u: &CMat) -> usize {
+        self.0.expected_entanglers(u)
+    }
+}
+
+/// A cache file persisted under the old AshN key holds the old solver's
+/// bits for each class. The current basis must miss on it and synthesize
+/// cold, both by key and through the service.
+#[test]
+fn ashn_entries_persisted_under_the_untagged_key_are_not_served() {
+    let basis = AshnBasis::with_cutoff(0.0, 1.1);
+    let legacy = InvariantPolishAshn(basis);
+    assert_eq!(legacy.name(), basis.name());
+    assert_ne!(legacy.cache_params(), basis.cache_params());
+
+    let target = haar_unitary(4, &mut StdRng::seed_from_u64(0xa5b));
+    let path = temp_path("untagged-ashn");
+    let cache = ShardedCache::with_config(2, 32);
+    CachedBasis::with_store(&legacy, cache.clone())
+        .synthesize(&target)
+        .expect("AshN synthesis");
+    cache.save(&path).expect("save");
+
+    let restored = ShardedCache::with_config(2, 32);
+    assert_eq!(restored.warm_start(&path).loaded, 1);
+    std::fs::remove_file(&path).ok();
+    let coords = weyl_coordinates(&target).canonicalize();
+    assert!(restored
+        .fetch(&ClassKey::new(&legacy, coords, false))
+        .is_some());
+    assert!(
+        restored
+            .fetch(&ClassKey::new(&basis, coords, false))
+            .is_none(),
+        "an untagged AshN entry must not hit under the current key"
+    );
+
+    let batch = CompileService::with_cache(basis, restored).synthesize_batch(&[target]);
+    assert_eq!(batch.stats.exact_hits + batch.stats.class_hits, 0);
+    assert_eq!(batch.stats.cold_serves, 1);
+}
+
 /// One saved cache file plus the targets that populated it, built once and
 /// shared across property cases.
 fn corruption_fixture() -> &'static (String, Vec<CMat>) {

@@ -3,7 +3,6 @@
 //! single-qubit corrections computed via KAK.
 
 use crate::circuit2::{align_to_target, Op2, TwoQubitCircuit};
-use ashn_core::ea::EaSearch;
 use ashn_core::scheme::{AshnPulse, AshnScheme, CompileError};
 use ashn_gates::kak::weyl_coordinates;
 use ashn_math::{CMat, Complex};
@@ -25,27 +24,7 @@ pub struct AshnSynthesis {
 ///
 /// Propagates [`CompileError`] from the pulse compiler.
 pub fn decompose_ashn(u: &CMat, scheme: &AshnScheme) -> Result<AshnSynthesis, CompileError> {
-    let p = weyl_coordinates(u);
-    build_synthesis(u, scheme.compile(p)?)
-}
-
-/// [`decompose_ashn`] with explicit EA search effort (fan-out and
-/// escalation rounds). With `search == EaSearch { workers, ..default }`
-/// this is bit-identical to [`decompose_ashn`].
-///
-/// # Errors
-///
-/// Propagates [`CompileError`] from the pulse compiler.
-pub fn decompose_ashn_with_search(
-    u: &CMat,
-    scheme: &AshnScheme,
-    search: &EaSearch,
-) -> Result<AshnSynthesis, CompileError> {
-    let p = weyl_coordinates(u);
-    build_synthesis(u, scheme.compile_with_search(p, search)?)
-}
-
-fn build_synthesis(u: &CMat, pulse: AshnPulse) -> Result<AshnSynthesis, CompileError> {
+    let pulse = scheme.compile(weyl_coordinates(u))?;
     let base = if pulse.tau == 0.0 {
         TwoQubitCircuit::identity()
     } else {

@@ -6,16 +6,13 @@
 //! scoring, and the `ashn::Compiler` pipeline are generic over the native
 //! gate set. New bases (B-gate, iSWAP, …) are one `impl Basis` away.
 
-use crate::ashn_basis::decompose_ashn_with_search;
+use crate::ashn_basis::decompose_ashn;
 use crate::cnot_basis::{cnot_count, decompose_cnot, to_cz_basis, to_ecr_basis, CZ_DURATION};
 use crate::sqisw_basis::{decompose_sqisw, sqisw_count, SQISW_DURATION};
-use ashn_core::ea::EaSearch;
 use ashn_core::scheme::AshnScheme;
 use ashn_gates::kak::weyl_coordinates;
 use ashn_gates::weyl::WeylPoint;
-use ashn_ir::{
-    Basis, BasisMetadata, Circuit, EntanglerCounts, SynthEffort, SynthError, WeylCategory,
-};
+use ashn_ir::{Basis, BasisMetadata, Circuit, EntanglerCounts, SynthError, WeylCategory};
 use ashn_math::CMat;
 use std::f64::consts::{FRAC_PI_4, FRAC_PI_8};
 
@@ -179,12 +176,12 @@ impl AshnBasis {
         }
     }
 
-    /// Fans the EA multistart of every pulse compilation over `workers`
-    /// pool threads (`0` = one per hardware thread; default 1 = serial).
-    /// Synthesized circuits are bit-identical for every worker count.
+    /// Has no effect: the EA solve is serial since it stopped searching
+    /// multistart waves. Kept so that callers written against the
+    /// worker-count API still compile.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.scheme = self.scheme.with_workers(workers);
+    pub fn with_workers(self, workers: usize) -> Self {
+        let _ = workers;
         self
     }
 }
@@ -195,28 +192,21 @@ impl Basis for AshnBasis {
     }
 
     // The ZZ ratio h̃ changes every compiled pulse but is absent from the
-    // display name; the worker count is deliberately excluded (the EA
-    // multistart is bit-identical at any worker count). `{:?}` prints the
-    // shortest exactly-round-tripping decimal, so the key is stable across
-    // save/load.
+    // display name. `{:?}` prints the shortest exactly-round-tripping
+    // decimal, so the key is stable across save/load. The `ea=` tag names
+    // the solver: caches persisted while the EA polish matched invariants
+    // hold other bits for the same class, and must not serve them here.
     fn cache_params(&self) -> String {
-        format!("h={:?};r={:?}", self.scheme.h_ratio(), self.scheme.cutoff())
+        format!(
+            "h={:?};r={:?};ea=coordinate-polish",
+            self.scheme.h_ratio(),
+            self.scheme.cutoff()
+        )
     }
 
     fn synthesize(&self, u: &CMat) -> Result<Circuit, SynthError> {
-        self.synthesize_with_effort(u, SynthEffort::default())
-    }
-
-    // Retry attempt `k` widens the EA multistart by `k` escalation rounds.
-    // The default effort is bit-identical to `decompose_ashn`, so cached
-    // circuits stay reproducible.
-    fn synthesize_with_effort(&self, u: &CMat, effort: SynthEffort) -> Result<Circuit, SynthError> {
         check_two_qubit(u, "AshN")?;
-        let search = EaSearch {
-            workers: self.scheme.workers(),
-            extra_rounds: effort.attempt,
-        };
-        decompose_ashn_with_search(u, &self.scheme, &search)
+        decompose_ashn(u, &self.scheme)
             .map(|s| s.circuit.into())
             .map_err(|e| SynthError::Pulse {
                 basis: self.name(),

@@ -1,15 +1,23 @@
-//! Coverage of the closed-form SQiSW synthesis over the whole Weyl chamber:
-//! every class of a 0.1-rad grid (including `z < 0` and the `x = π/4` face),
-//! the controlled-phase edge `y = z = 0`, and the named gates, each dressed
-//! with seeded Haar locals, is served exactly with the minimal number of
-//! SQiSW applications. Targets inside the `1e-9` band that the count
-//! rounds across are served to that band's accuracy.
+//! Coverage of synthesis over the whole Weyl chamber, with every target
+//! dressed with seeded Haar locals:
+//!
+//! - the closed-form SQiSW synthesis serves every class of a 0.1-rad grid
+//!   (including `z < 0` and the `x = π/4` face), the controlled-phase edge
+//!   `y = z = 0` and the named gates exactly, with the minimal number of
+//!   SQiSW applications; targets inside the `1e-9` band that the count
+//!   rounds across are served to that band's accuracy;
+//! - AshN serves the same grid, the degenerate `x = y` and `y = |z|` edges
+//!   included, and the mirrors `U·SWAP` of small-angle gates in one pulse
+//!   per class, exactly, at `r ∈ {0, 1.1}` and with `ZZ` coupling.
 
 use ashn_gates::kak::weyl_coordinates;
 use ashn_gates::two::{canonical, iswap, sqisw, swap};
+use ashn_gates::weyl::WeylPoint;
+use ashn_ir::Basis;
 use ashn_math::randmat::haar_unitary;
 use ashn_math::{c, CMat};
 use ashn_synth::sqisw_basis::{decompose_sqisw, sqisw_count_for};
+use ashn_synth::AshnBasis;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::f64::consts::{FRAC_PI_4, PI};
@@ -113,5 +121,49 @@ fn count_boundary_band_is_served_to_its_rounding() {
         let label = format!("CAN({x}, {y}, {z})");
         let err = serve(&dressed(&canonical(x, y, z), &mut rng), &label);
         assert!(err <= 1e-8, "{label}: error {err:.2e}");
+    }
+}
+
+/// `RZZ(θ) = exp(−iθ/2·ZZ)`.
+fn rzz(theta: f64) -> CMat {
+    let (lo, hi) = (c(0.0, -theta / 2.0).exp(), c(0.0, theta / 2.0).exp());
+    CMat::diag(&[lo, hi, hi, lo])
+}
+
+#[test]
+fn ashn_serves_the_whole_chamber_in_one_pulse_per_class() {
+    let mut targets: Vec<(String, CMat)> = chamber_grid(0.1)
+        .into_iter()
+        .map(|[x, y, z]| (format!("CAN({x}, {y}, {z})"), canonical(x, y, z)))
+        .collect();
+    // The mirrors of small-angle gates land on the `y = |z|` edge next to
+    // the SWAP corner; `CAN(0.56, 0.56, ±0.48)` sits on the `x = y` edge.
+    targets.push((
+        "CPhase(π/16)·SWAP".into(),
+        cphase(PI / 16.0).matmul(&swap()),
+    ));
+    targets.push(("RZZ(0.1)·SWAP".into(), rzz(0.1).matmul(&swap())));
+    targets.push(("CAN(0.56, 0.56, 0.48)".into(), canonical(0.56, 0.56, 0.48)));
+    targets.push((
+        "CAN(0.56, 0.56, -0.48)".into(),
+        canonical(0.56, 0.56, -0.48),
+    ));
+    for (h, r) in [(0.0, 0.0), (0.0, 1.1), (0.3, 0.9)] {
+        let basis = AshnBasis::with_cutoff(h, r);
+        let mut rng = StdRng::seed_from_u64(24);
+        for (label, u) in &targets {
+            let u = dressed(u, &mut rng);
+            let circuit = basis
+                .synthesize(&u)
+                .unwrap_or_else(|e| panic!("h={h} r={r} {label}: no circuit ({e})"));
+            let identity = weyl_coordinates(&u).dist(WeylPoint::IDENTITY) < 1e-9;
+            assert_eq!(
+                circuit.entangler_count(),
+                usize::from(!identity),
+                "h={h} r={r} {label}: not one pulse"
+            );
+            let err = circuit.error(&u);
+            assert!(err <= 1e-11, "h={h} r={r} {label}: error {err:.2e}");
+        }
     }
 }

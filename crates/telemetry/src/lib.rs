@@ -10,7 +10,7 @@
 //! let reg = ashn_telemetry::Registry::new();
 //! let _guard = ashn_telemetry::install(&reg); // thread-local override
 //! {
-//!     let _s = ashn_telemetry::span!("synth.ea_multistart");
+//!     let _s = ashn_telemetry::span!("synth.cold");
 //!     ashn_telemetry::current().add("cache.lookup.exact", 1);
 //! }
 //! let snap = reg.snapshot();
