@@ -2,8 +2,8 @@
 //! of a dark stack. Two workloads cover the two kinds of seam:
 //!
 //! * **service batch** — a warm `synthesize_batch` over mixed traffic
-//!   crosses every instrumented service phase (spans, tier counters,
-//!   cache-lookup accounting, journal events) per iteration;
+//!   crosses every instrumented service phase (spans, journal events, and
+//!   the once-per-batch publish of its `service.*` counters) per iteration;
 //! * **trajectory loop** — plan build (one span) plus a pure statevector
 //!   execution whose scalar amplitude loop is deliberately *not*
 //!   instrumented; this workload pins that it stays that way.

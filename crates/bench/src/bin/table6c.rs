@@ -88,11 +88,11 @@ fn main() {
         row(&[
             name.into(),
             n.to_string(),
-            c.two_qubit_count().to_string(),
+            c.entangler_count().to_string(),
             format!("{}", formula as i64),
             format!("{:.1e}", c.error(&u)),
         ]);
-        assert_eq!(c.two_qubit_count(), qsd_count(n, basis));
+        assert_eq!(c.entangler_count(), qsd_count(n, basis));
     }
     println!(
         "\nnote: the generic counts match Theorem 13 exactly (11 at n=3 via the\n\

@@ -112,17 +112,6 @@ impl Circuit {
             .count()
     }
 
-    /// Alias of [`Circuit::entangler_count`] (kept for `ashn_sim` parity).
-    pub fn two_qubit_gate_count(&self) -> usize {
-        self.entangler_count()
-    }
-
-    /// Alias of [`Circuit::entangler_count`] (kept for `ashn_synth::NCircuit`
-    /// parity).
-    pub fn two_qubit_count(&self) -> usize {
-        self.entangler_count()
-    }
-
     /// Summed duration of the instructions acting on ≥ 2 qubits.
     pub fn entangler_duration(&self) -> f64 {
         self.instructions

@@ -9,8 +9,9 @@
 //! * [`DagCircuit`] — per-wire dependency edges over `ashn_ir::Circuit`,
 //!   with commutation queries (via `ashn_ir::classify`) and a lossless
 //!   round trip back to the linear IR.
-//! * [`Pass`]/[`PassManager`] — fixed-point pass pipelines with per-pass
-//!   gate-count/depth accounting ([`PassStats`], [`OptStats`]).
+//! * [`Pass`]/[`PassManager`] — fixed-point pass pipelines with
+//!   gate-count/depth accounting and per-pass fire counts ([`OptStats`],
+//!   [`PassStats`]).
 //! * [`passes`] — adjacent single-qubit merge, global-phase folding,
 //!   commutation-aware cancellation, and the headline
 //!   [`passes::Resynthesize`]: maximal two-qubit runs gathered into one

@@ -44,20 +44,14 @@ impl Snapshot {
     }
 }
 
-/// Per-pass accounting: how often the pass ran, how often it fired, and
-/// the circuit shape before its first and after its last execution.
+/// Per-pass accounting: how often the pass fired. Every pass runs once per
+/// sweep, so its run count is [`OptStats::iterations`].
 #[derive(Clone, Debug)]
 pub struct PassStats {
     /// Pass display name.
     pub pass: String,
-    /// Times the pass executed across all fixed-point sweeps.
-    pub runs: usize,
     /// Executions that modified the DAG.
     pub fired: usize,
-    /// Shape before the first execution.
-    pub before: Snapshot,
-    /// Shape after the last execution.
-    pub after: Snapshot,
 }
 
 /// Whole-run accounting returned by [`PassManager::run`].
@@ -188,36 +182,23 @@ impl<'p> PassManager<'p> {
             .map(|p| telemetry.histogram(&format!("opt.pass.{}", p.name())))
             .collect();
         let before = Snapshot::of(dag);
-        let mut per_pass: Vec<Option<PassStats>> = vec![None; self.passes.len()];
+        let mut passes: Vec<PassStats> = self
+            .passes
+            .iter()
+            .map(|p| PassStats {
+                pass: p.name(),
+                fired: 0,
+            })
+            .collect();
         let mut iterations = 0;
-        // Snapshots cost a topological sort (depth); the DAG is untouched
-        // between one pass's after-measurement and the next pass's start,
-        // so the previous snapshot carries forward instead of recomputing.
-        let mut current = before;
         for _ in 0..self.max_iterations {
             iterations += 1;
             let mut changed = false;
             for (i, pass) in self.passes.iter().enumerate() {
-                let snap_before = current;
                 let started = std::time::Instant::now();
                 let fired = pass.run(dag)?;
                 pass_timers[i].record(started.elapsed());
-                let snap_after = if fired {
-                    Snapshot::of(dag)
-                } else {
-                    snap_before
-                };
-                current = snap_after;
-                let entry = per_pass[i].get_or_insert_with(|| PassStats {
-                    pass: pass.name(),
-                    runs: 0,
-                    fired: 0,
-                    before: snap_before,
-                    after: snap_after,
-                });
-                entry.runs += 1;
-                entry.fired += usize::from(fired);
-                entry.after = snap_after;
+                passes[i].fired += usize::from(fired);
                 changed |= fired;
             }
             if !changed {
@@ -227,8 +208,8 @@ impl<'p> PassManager<'p> {
         Ok(OptStats {
             iterations,
             before,
-            after: current,
-            passes: per_pass.into_iter().flatten().collect(),
+            after: Snapshot::of(dag),
+            passes,
         })
     }
 }

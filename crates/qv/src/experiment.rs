@@ -243,7 +243,7 @@ pub fn score_compiled_many(compiled: &CompiledModel, noises: &[QvNoise]) -> Vec<
     let mut engine = SimEngine::new(circuit.n_qubits());
     let ideal = compiled.logical_probs(&engine.run_pure(circuit).probabilities());
     let heavy = heavy_set(&ideal);
-    let two_qubit_gates = circuit.two_qubit_gate_count();
+    let two_qubit_gates = circuit.entangler_count();
     let interaction_time = circuit.total_duration();
     noises
         .iter()

@@ -153,6 +153,7 @@ enum Tier {
 }
 
 /// Per-batch accounting: dedup effectiveness, cache-hit tiers, wall time.
+/// The registry's `service.*` counters are published from it, once a batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ServiceStats {
     /// Requests in the batch.
@@ -190,7 +191,7 @@ pub struct ServiceStats {
     /// target resynthesized (counted per serve).
     pub quarantined: u64,
     /// Extra synthesis attempts consumed by retries
-    /// ([`CompileService::max_attempts`]).
+    /// ([`CompileService::max_attempts`]), exhausted ones included.
     pub retries: u64,
     /// Worker panics contained by the batch engine (isolated to their item
     /// and repaired or degraded — never propagated).
@@ -227,6 +228,65 @@ impl ServiceStats {
             0.0
         } else {
             self.requests as f64 / (self.wall_ms / 1e3)
+        }
+    }
+
+    /// The one fold behind a batch's accounting: class counts and the
+    /// prime phase's resilience from the sealed table, tier and quarantine
+    /// counts from the serves. The caller stamps `requests`, `workers`,
+    /// the wall time and the serve phase's contained panics.
+    fn fold(prepared: &Prepared, served: &[Served]) -> Self {
+        let mut stats = ServiceStats {
+            targets: served.len(),
+            unique_classes: prepared.unique.len(),
+            retries: prepared.retries,
+            worker_panics: prepared.panics,
+            ..ServiceStats::default()
+        };
+        for class in &prepared.unique {
+            match class.solution {
+                Solution::Warm(_) => stats.warm_classes += 1,
+                Solution::Rule => stats.rule_classes += 1,
+                Solution::Cold(_) | Solution::Failed(_) => stats.cold_classes += 1,
+            }
+        }
+        for s in served {
+            *match s.tier {
+                Tier::Exact => &mut stats.exact_hits,
+                Tier::Redressed => &mut stats.class_hits,
+                Tier::Rule => &mut stats.rule_hits,
+                Tier::Cold => &mut stats.cold_serves,
+                Tier::Degraded => &mut stats.degraded,
+                Tier::Failed => &mut stats.failed,
+            } += 1;
+            stats.quarantined += u64::from(s.quarantined);
+            stats.retries += s.retries;
+        }
+        stats
+    }
+
+    /// Adds this batch to the thread's telemetry registry under the
+    /// `service.*` names (one add per nonzero counter). The registry has
+    /// no other source for them, so it always equals the summed stats.
+    fn publish(&self) {
+        let telemetry = ashn_telemetry::current();
+        for (name, value) in [
+            ("service.batches", 1),
+            ("service.requests", self.requests as u64),
+            ("service.targets", self.targets as u64),
+            ("service.serve.exact", self.exact_hits),
+            ("service.serve.redressed", self.class_hits),
+            ("service.serve.rule", self.rule_hits),
+            ("service.serve.cold", self.cold_serves),
+            ("service.serve.degraded", self.degraded),
+            ("service.serve.failed", self.failed),
+            ("service.quarantined", self.quarantined),
+            ("service.retries", self.retries),
+            ("service.worker_panics", self.worker_panics),
+        ] {
+            if value > 0 {
+                telemetry.add(name, value);
+            }
         }
     }
 }
@@ -279,24 +339,33 @@ struct Prepared {
     /// Per target: `(unique-class index, coords)` or the validation error.
     status: Vec<Result<(usize, WeylPoint), ServiceError>>,
     unique: Vec<UniqueClass>,
-    /// Extra synthesis attempts the cold phase consumed via retries.
+    /// Extra synthesis attempts the cold phase consumed via retries,
+    /// failed classes included.
     retries: u64,
     /// Worker panics the prime phases contained.
     panics: u64,
 }
 
-/// Per-target resilience accounting accumulated while serving.
-#[derive(Clone, Copy, Debug, Default)]
-struct ResAcct {
-    quarantined: u64,
-    retries: u64,
-}
-
 /// One served target: the tier, its resilience accounting, and the circuit.
 struct Served {
     tier: Tier,
-    acct: ResAcct,
+    /// Whether the serve failed verification and quarantined its entry.
+    quarantined: bool,
+    /// Extra attempts the resynthesis after a quarantine consumed.
+    retries: u64,
     result: Result<Circuit, ServiceError>,
+}
+
+impl Served {
+    /// A serve that needed no quarantine.
+    fn new(tier: Tier, result: Result<Circuit, ServiceError>) -> Self {
+        Self {
+            tier,
+            quarantined: false,
+            retries: 0,
+            result,
+        }
+    }
 }
 
 /// The batched compile server: a shared [`ShardedCache`], a basis, and a
@@ -527,24 +596,22 @@ impl<B: Basis + Sync> CompileService<B> {
         // job is a pure function of its target and the (fixed) settings, so
         // results are bit-identical at any worker count.
         let cold_span = telemetry.span("service.cold_synth");
-        // A cold job resolves to (entry, attempts) or a rendered failure;
-        // the outer layer is the task-boundary panic isolation.
-        type ColdOutcome = Result<(ClassEntry, u32), String>;
+        // A cold job resolves to its attempts and the entry or a rendered
+        // failure; the outer layer is the task-boundary panic isolation.
+        type ColdOutcome = (u32, Result<ClassEntry, String>);
         let solved: Vec<Result<ColdOutcome, TaskPanic>> =
             parallel_map_isolated(self.workers, cold.len(), |j| {
                 let rep = unique[cold[j]].rep;
-                let (circuit, attempts) = self
-                    .synthesize_cold(targets[rep])
-                    .map_err(|e| e.to_string())?;
-                let core = TwoQubitCircuit::try_from(circuit)
-                    .map_err(|e| format!("synthesis output not a two-qubit circuit: {e}"))?;
-                Ok((
-                    ClassEntry {
+                let (synthesized, attempts) = self.synthesize_cold(targets[rep]);
+                let entry = synthesized.map_err(|e| e.to_string()).and_then(|circuit| {
+                    let core = TwoQubitCircuit::try_from(circuit)
+                        .map_err(|e| format!("synthesis output not a two-qubit circuit: {e}"))?;
+                    Ok(ClassEntry {
                         target: targets[rep].clone(),
                         circuit: core,
-                    },
-                    attempts,
-                ))
+                    })
+                });
+                (attempts, entry)
             });
 
         // Install in deterministic order; share with future batches.
@@ -552,12 +619,16 @@ impl<B: Basis + Sync> CompileService<B> {
         for (j, result) in solved.into_iter().enumerate() {
             let uidx = cold[j];
             match result {
-                Ok(Ok((entry, attempts))) => {
-                    retries += u64::from(attempts.saturating_sub(1));
-                    self.cache.store(unique[uidx].key.clone(), entry.clone());
-                    unique[uidx].solution = Solution::Cold(entry);
+                Ok((attempts, entry)) => {
+                    retries += u64::from(attempts - 1);
+                    unique[uidx].solution = match entry {
+                        Ok(entry) => {
+                            self.cache.store(unique[uidx].key.clone(), entry.clone());
+                            Solution::Cold(entry)
+                        }
+                        Err(detail) => Solution::Failed(detail),
+                    };
                 }
-                Ok(Err(detail)) => unique[uidx].solution = Solution::Failed(detail),
                 Err(TaskPanic { detail, .. }) => {
                     panics += 1;
                     unique[uidx].solution =
@@ -589,18 +660,6 @@ impl<B: Basis + Sync> CompileService<B> {
     /// quarantined entries — which later serves never read (they read the
     /// sealed table), so batch output stays worker-count invariant.
     fn serve_target(&self, target: &CMat, index: usize, prepared: &Prepared) -> Served {
-        let mut acct = ResAcct::default();
-        let (tier, result) = self.serve_inner(target, index, prepared, &mut acct);
-        Served { tier, acct, result }
-    }
-
-    fn serve_inner(
-        &self,
-        target: &CMat,
-        index: usize,
-        prepared: &Prepared,
-        acct: &mut ResAcct,
-    ) -> (Tier, Result<Circuit, ServiceError>) {
         let (uidx, coords) = match &prepared.status[index] {
             // A worker panic during canonicalization is transient — the
             // degradation tier can still serve the target. A validation
@@ -619,9 +678,7 @@ impl<B: Basis + Sync> CompileService<B> {
                 .and_then(|rules| rules.serve(&self.basis, target, coords))
             {
                 Some(circuit) => (Tier::Rule, circuit),
-                None => {
-                    return self.quarantine(target, None, "rule core drifted from its class", acct)
-                }
+                None => return self.quarantine(target, None, "rule core drifted from its class"),
             },
             // The representative IS the cold synthesis.
             Solution::Cold(entry) if class.rep == index => {
@@ -639,7 +696,6 @@ impl<B: Basis + Sync> CompileService<B> {
                             target,
                             key,
                             "stored circuit drifted from its class",
-                            acct,
                         )
                     }
                 }
@@ -670,33 +726,25 @@ impl<B: Basis + Sync> CompileService<B> {
                 target,
                 key,
                 &format!("served circuit verification error {err:.2e} exceeds {tol:.2e}"),
-                acct,
             );
         }
-        (tier, Ok(circuit))
+        Served::new(tier, Ok(circuit))
     }
 
     /// Evicts the bad cache entry the serve read, if any, and resynthesizes
     /// the target privately (verified, retried, never written back),
     /// degrading on failure.
-    fn quarantine(
-        &self,
-        target: &CMat,
-        key: Option<&ClassKey>,
-        reason: &str,
-        acct: &mut ResAcct,
-    ) -> (Tier, Result<Circuit, ServiceError>) {
+    fn quarantine(&self, target: &CMat, key: Option<&ClassKey>, reason: &str) -> Served {
         if let Some(key) = key {
             self.cache.evict(key);
         }
-        acct.quarantined += 1;
-        match self.synthesize_cold(target) {
-            Ok((circuit, attempts)) => {
-                acct.retries += u64::from(attempts - 1);
+        let (synthesized, attempts) = self.synthesize_cold(target);
+        let served = match synthesized {
+            Ok(circuit) => {
                 let err = circuit.error(target);
                 let tol = self.verify_tol;
                 if err.is_nan() || err > tol {
-                    return self.degrade(
+                    self.degrade(
                         target,
                         ServiceError::Synth {
                             detail: format!(
@@ -704,16 +752,23 @@ impl<B: Basis + Sync> CompileService<B> {
                                  verification: error {err:.2e} exceeds {tol:.2e}"
                             ),
                         },
-                    );
+                    )
+                } else {
+                    Served::new(Tier::Cold, Ok(circuit))
                 }
-                (Tier::Cold, Ok(circuit))
             }
             Err(e) => self.degrade(target, e.into()),
+        };
+        Served {
+            quarantined: true,
+            retries: u64::from(attempts - 1),
+            ..served
         }
     }
 
     /// Synthesizes `u` on the service's basis with up to `max_attempts`
-    /// attempts, returning the circuit and the attempts it took.
+    /// attempts, returning the outcome and the attempts it took (a failure
+    /// included, so exhausted retries are counted too).
     ///
     /// Attempt `k` runs with [`SynthEffort::attempt`]` = k`; a basis may
     /// read nothing else from the retry, so a retry schedule replays
@@ -722,19 +777,18 @@ impl<B: Basis + Sync> CompileService<B> {
     /// retrying cannot fix it; otherwise the last attempt's error surfaces.
     /// Degradation is not done here: it happens per target at serve time,
     /// so a CNOT circuit is never cached under this basis's key.
-    fn synthesize_cold(&self, u: &CMat) -> Result<(Circuit, u32), SynthError> {
-        let telemetry = ashn_telemetry::current();
+    fn synthesize_cold(&self, u: &CMat) -> (Result<Circuit, SynthError>, u32) {
         let mut attempt = 0;
         loop {
             let effort = SynthEffort { attempt };
             let err = match catch_unwind(AssertUnwindSafe(|| {
                 self.basis.synthesize_with_effort(u, effort)
             })) {
-                Ok(Ok(circuit)) => return Ok((circuit, attempt + 1)),
-                Ok(Err(e @ SynthError::InvalidTarget { .. })) => return Err(e),
+                Ok(Ok(circuit)) => return (Ok(circuit), attempt + 1),
+                Ok(Err(e @ SynthError::InvalidTarget { .. })) => return (Err(e), attempt + 1),
                 Ok(Err(e)) => e,
                 Err(payload) => {
-                    telemetry.add("synth.resilience.panics_caught", 1);
+                    ashn_telemetry::current().add("synth.resilience.panics_caught", 1);
                     SynthError::WorkerPanic {
                         detail: describe_panic(payload.as_ref()),
                     }
@@ -742,84 +796,18 @@ impl<B: Basis + Sync> CompileService<B> {
             };
             attempt += 1;
             if attempt >= self.max_attempts {
-                return Err(err);
+                return (Err(err), attempt);
             }
-            telemetry.add("synth.resilience.retries", 1);
         }
     }
 
     /// The last tier: an exact CNOT-basis decomposition, verified at
     /// `1e-9` inside [`try_decompose_cnot`]. Surfaces `err` when the target
     /// is itself invalid.
-    fn degrade(&self, target: &CMat, err: ServiceError) -> (Tier, Result<Circuit, ServiceError>) {
+    fn degrade(&self, target: &CMat, err: ServiceError) -> Served {
         match try_decompose_cnot(target) {
-            Ok(circuit) => (Tier::Degraded, Ok(circuit.into())),
-            Err(_) => (Tier::Failed, Err(err)),
-        }
-    }
-
-    /// Folds per-target tiers into [`ServiceStats`], the shared cache's
-    /// hit/miss counters, and the telemetry registry — the ONE accounting
-    /// path for serve outcomes, so the three views can never disagree.
-    fn tally(&self, tiers: impl IntoIterator<Item = Tier>, stats: &mut ServiceStats) {
-        let before = *stats;
-        for tier in tiers {
-            let outcome = match tier {
-                Tier::Exact => {
-                    stats.exact_hits += 1;
-                    Lookup::ExactHit
-                }
-                Tier::Redressed => {
-                    stats.class_hits += 1;
-                    Lookup::ClassHit
-                }
-                Tier::Rule => {
-                    stats.rule_hits += 1;
-                    Lookup::RuleHit
-                }
-                Tier::Cold => {
-                    stats.cold_serves += 1;
-                    Lookup::Miss
-                }
-                Tier::Degraded => {
-                    stats.degraded += 1;
-                    Lookup::Miss
-                }
-                Tier::Failed => {
-                    stats.failed += 1;
-                    Lookup::Miss
-                }
-            };
-            self.cache.record(outcome);
-        }
-        // Bulk-mirror this batch's tier deltas into the registry (one add
-        // per tier, not per target).
-        let telemetry = ashn_telemetry::current();
-        for (name, delta) in [
-            ("service.serve.exact", stats.exact_hits - before.exact_hits),
-            (
-                "service.serve.redressed",
-                stats.class_hits - before.class_hits,
-            ),
-            ("service.serve.rule", stats.rule_hits - before.rule_hits),
-            ("service.serve.cold", stats.cold_serves - before.cold_serves),
-            ("service.serve.degraded", stats.degraded - before.degraded),
-            ("service.serve.failed", stats.failed - before.failed),
-        ] {
-            if delta > 0 {
-                telemetry.add(name, delta);
-            }
-        }
-    }
-
-    fn class_counts(prepared: &Prepared, stats: &mut ServiceStats) {
-        stats.unique_classes = prepared.unique.len();
-        for class in &prepared.unique {
-            match class.solution {
-                Solution::Warm(_) => stats.warm_classes += 1,
-                Solution::Rule => stats.rule_classes += 1,
-                Solution::Cold(_) | Solution::Failed(_) => stats.cold_classes += 1,
-            }
+            Ok(circuit) => Served::new(Tier::Degraded, Ok(circuit.into())),
+            Err(_) => Served::new(Tier::Failed, Err(err)),
         }
     }
 
@@ -836,13 +824,11 @@ impl<B: Basis + Sync> CompileService<B> {
         let refs: Vec<&CMat> = targets.iter().collect();
         let prepared = self.prime(&refs);
         let slices: Vec<(usize, usize)> = (0..targets.len()).map(|i| (i, i + 1)).collect();
-        let (mut stats, served, _) =
-            self.serve_batch(targets.len(), &refs, &prepared, &slices, |_, _| Ok(()));
+        let (stats, served, _) = self.serve_batch(t0, &refs, &prepared, &slices, |_, _| Ok(()));
         let (degraded, circuits) = served
             .into_iter()
             .map(|s| (s.tier == Tier::Degraded, s.result))
             .unzip();
-        Self::finish_batch(t0, &mut stats);
         BatchResult {
             circuits,
             degraded,
@@ -855,11 +841,11 @@ impl<B: Basis + Sync> CompileService<B> {
     /// the sealed class table and hands the serves to `finish` — nothing to
     /// do for [`Self::synthesize_batch`] (one target per slice), request
     /// assembly for [`Self::compile_batch`] (one request per slice, so a
-    /// request's serves run on the worker that assembles them). Every serve
-    /// is then folded into fresh [`ServiceStats`] for a batch of
-    /// `requests`, the shared cache's counters and the telemetry registry.
-    /// Returns the stats, every serve in target order, and each slice's
-    /// `finish` result.
+    /// request's serves run on the worker that assembles them). The sealed
+    /// table and every serve are then folded into the [`ServiceStats`] of a
+    /// batch of one request per slice started at `t0`, published to the
+    /// telemetry registry. Returns the stats, every serve in target order,
+    /// and each slice's `finish` result.
     ///
     /// A panicking job is retried serially, outside the pool (where the
     /// worker-boundary failpoint cannot re-fire): each target gets
@@ -867,24 +853,14 @@ impl<B: Basis + Sync> CompileService<B> {
     /// fails only that slice — the batch never dies.
     fn serve_batch<T: Send>(
         &self,
-        requests: usize,
+        t0: Instant,
         targets: &[&CMat],
         prepared: &Prepared,
         slices: &[(usize, usize)],
         finish: impl Fn(usize, &[Served]) -> Result<T, ServiceError> + Sync,
     ) -> (ServiceStats, Vec<Served>, Vec<Result<T, ServiceError>>) {
         let telemetry = ashn_telemetry::current();
-        telemetry.add("service.batches", 1);
-        telemetry.add("service.requests", requests as u64);
-        telemetry.add("service.targets", targets.len() as u64);
-        let mut stats = ServiceStats {
-            requests,
-            targets: targets.len(),
-            workers: resolve_workers(self.workers),
-            retries: prepared.retries,
-            worker_panics: prepared.panics,
-            ..ServiceStats::default()
-        };
+        let mut job_panics = 0u64;
         let serve_span = telemetry.span("service.serve");
         let isolated = parallel_map_isolated(self.workers, slices.len(), |j| {
             let (start, end) = slices[j];
@@ -898,7 +874,7 @@ impl<B: Basis + Sync> CompileService<B> {
         let mut finished = Vec::with_capacity(slices.len());
         for (j, job) in isolated.into_iter().enumerate() {
             let (slice, done) = job.unwrap_or_else(|TaskPanic { .. }| {
-                stats.worker_panics += 1;
+                job_panics += 1;
                 let (start, end) = slices[j];
                 let slice: Vec<Served> = (start..end)
                     .map(|i| self.repair_serve(targets[i], i, prepared))
@@ -920,29 +896,15 @@ impl<B: Basis + Sync> CompileService<B> {
             "service.serve",
             &[("targets", (targets.len() as u64).into())],
         );
-        Self::class_counts(prepared, &mut stats);
-        for s in &served {
-            stats.quarantined += s.acct.quarantined;
-            stats.retries += s.acct.retries;
-        }
-        self.tally(served.iter().map(|s| s.tier), &mut stats);
+        let mut stats = ServiceStats {
+            requests: slices.len(),
+            workers: resolve_workers(self.workers),
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+            ..ServiceStats::fold(prepared, &served)
+        };
+        stats.worker_panics += job_panics;
+        stats.publish();
         (stats, served, finished)
-    }
-
-    /// Stamps the batch wall time and bulk-mirrors the batch's resilience
-    /// accounting into the registry (one add per nonzero counter).
-    fn finish_batch(t0: Instant, stats: &mut ServiceStats) {
-        stats.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let telemetry = ashn_telemetry::current();
-        for (name, value) in [
-            ("service.quarantined", stats.quarantined),
-            ("service.retries", stats.retries),
-            ("service.worker_panics", stats.worker_panics),
-        ] {
-            if value > 0 {
-                telemetry.add(name, value);
-            }
-        }
     }
 
     /// Serial second chance for a serve that panicked on the worker pool;
@@ -954,22 +916,17 @@ impl<B: Basis + Sync> CompileService<B> {
             Ok(served) => served,
             Err(payload) => {
                 let detail = describe_panic(payload.as_ref());
-                let (tier, result) = match catch_unwind(AssertUnwindSafe(|| {
+                catch_unwind(AssertUnwindSafe(|| {
                     self.degrade(target, ServiceError::WorkerPanic { detail })
-                })) {
-                    Ok(outcome) => outcome,
-                    Err(second) => (
+                }))
+                .unwrap_or_else(|second| {
+                    Served::new(
                         Tier::Failed,
                         Err(ServiceError::WorkerPanic {
                             detail: describe_panic(second.as_ref()),
                         }),
-                    ),
-                };
-                Served {
-                    tier,
-                    acct: ResAcct::default(),
-                    result,
-                }
+                    )
+                })
             }
         }
     }
@@ -1009,16 +966,14 @@ impl<B: Basis + Sync> CompileService<B> {
             slices.push((start, targets.len()));
         }
         let prepared = self.prime(&targets);
-        // The SWAP memo `CachedBasis::native_swap` uses, left unrecorded:
-        // the cache's lookup counters count synthesis targets only.
+        // The SWAP memo `CachedBasis::native_swap` uses.
         let swap_fragment = memo_native_swap(&self.basis, &self.cache)
             .map(|(circuit, _)| circuit)
             .map_err(ServiceError::from);
-        let (mut stats, _, results) =
-            self.serve_batch(requests.len(), &targets, &prepared, &slices, |r, served| {
+        let (stats, _, results) =
+            self.serve_batch(t0, &targets, &prepared, &slices, |r, served| {
                 self.assemble(&requests[r], grids[r].clone()?, served, &swap_fragment)
             });
-        Self::finish_batch(t0, &mut stats);
         BatchCompileResult { results, stats }
     }
 
@@ -1181,8 +1136,9 @@ mod tests {
     fn first_try_success_matches_plain_synthesis() {
         let u = target();
         let direct = CnotBasis.synthesize(&u).unwrap();
-        let (circuit, attempts) = CompileService::new(CnotBasis).synthesize_cold(&u).unwrap();
+        let (circuit, attempts) = CompileService::new(CnotBasis).synthesize_cold(&u);
         assert_eq!(attempts, 1);
+        let circuit = circuit.unwrap();
         assert_eq!(fingerprint(&circuit), fingerprint(&direct));
     }
 
@@ -1200,34 +1156,45 @@ mod tests {
     fn transient_errors_are_retried_until_success() {
         let u = target();
         let service = CompileService::new(Flaky::new(2, false)).max_attempts(4);
-        let (circuit, attempts) = service.synthesize_cold(&u).unwrap();
+        let (circuit, attempts) = service.synthesize_cold(&u);
         assert_eq!(attempts, 3);
-        assert!(circuit.error(&u) < 1e-9);
+        assert!(circuit.unwrap().error(&u) < 1e-9);
     }
 
     #[test]
     fn panics_are_contained_and_retried() {
         let u = target();
         let service = CompileService::new(Flaky::new(1, true)).max_attempts(2);
-        let (circuit, attempts) = service.synthesize_cold(&u).unwrap();
+        let (circuit, attempts) = service.synthesize_cold(&u);
         assert_eq!(attempts, 2);
-        assert!(circuit.error(&u) < 1e-9);
+        assert!(circuit.unwrap().error(&u) < 1e-9);
     }
 
     #[test]
     fn exhausted_retries_surface_the_last_error() {
         let u = target();
         let service = CompileService::new(Flaky::new(u32::MAX, true)).max_attempts(2);
-        let err = service.synthesize_cold(&u).unwrap_err();
+        let (result, attempts) = service.synthesize_cold(&u);
+        let err = result.unwrap_err();
         assert!(matches!(err, SynthError::WorkerPanic { .. }), "{err}");
+        assert_eq!(attempts, 2);
+    }
+
+    #[test]
+    fn exhausted_retries_are_counted_and_the_target_degrades() {
+        let service = CompileService::new(Flaky::new(u32::MAX, false)).max_attempts(2);
+        let batch = service.synthesize_batch(&[target()]);
+        assert!(batch.circuits[0].is_ok());
+        assert_eq!((batch.stats.retries, batch.stats.degraded), (1, 1));
     }
 
     #[test]
     fn invalid_targets_fail_fast_without_retries_or_fallback() {
         let junk = CMat::zeros(4, 4);
         let service = CompileService::new(Flaky::new(0, false)).max_attempts(5);
-        let err = service.synthesize_cold(&junk).unwrap_err();
-        assert!(matches!(err, SynthError::InvalidTarget { .. }));
+        let (result, attempts) = service.synthesize_cold(&junk);
+        assert!(matches!(result, Err(SynthError::InvalidTarget { .. })));
+        assert_eq!(attempts, 1);
         assert_eq!(service.basis().calls.load(Ordering::SeqCst), 1);
     }
 
@@ -1251,9 +1218,10 @@ mod tests {
     fn ashn_cold_synthesis_serves_first_try_and_stays_deterministic() {
         let u = target();
         let service = CompileService::new(AshnBasis::ideal()).max_attempts(3);
-        let (a, a_attempts) = service.synthesize_cold(&u).unwrap();
-        let (b, b_attempts) = service.synthesize_cold(&u).unwrap();
+        let (a, a_attempts) = service.synthesize_cold(&u);
+        let (b, b_attempts) = service.synthesize_cold(&u);
         assert_eq!((a_attempts, b_attempts), (1, 1));
+        let (a, b) = (a.unwrap(), b.unwrap());
         assert_eq!(fingerprint(&a), fingerprint(&b));
         assert!(a.error(&u) < 1e-11);
     }

@@ -162,10 +162,10 @@ impl ClassStore for ShardedCache {
     }
 
     fn record(&self, outcome: Lookup) {
-        // Attribute global lookups to shard 0: per-shard attribution needs
-        // the key, which `ClassStore::record` deliberately does not take
-        // (the outcome is decided after the fetch). Aggregated stats are
-        // what service dashboards read.
+        // Attribute `CachedBasis` lookups to shard 0: per-shard attribution
+        // needs the key, which `ClassStore::record` deliberately does not
+        // take. `stats` sums the shards for `Compiler::synth_stats`; the
+        // compile service never records here.
         self.shards[0].record(outcome);
     }
 

@@ -1,8 +1,9 @@
-//! Telemetry contract of the batch service: the registry is the one
-//! accounting path (struct stats are views over it, so they can never
-//! drift), the journal is a deterministic flight recorder (zero-fault
-//! runs produce identical masked journals at any worker count), and the
-//! exporters round-trip the same values as the legacy stats structs.
+//! Telemetry contract of the batch service: each event has one name
+//! (`ServiceStats` is published under `service.*`, `CachedBasis` lookups
+//! under `cache.lookup.*`, and neither counts the other's events), the
+//! journal is a deterministic flight recorder (zero-fault runs produce
+//! identical masked journals at any worker count), and the exporters
+//! round-trip the same values as the stats structs.
 //!
 //! Every test installs a fresh [`Registry`] on its own thread, so the
 //! suite is immune to test-parallelism and to the process-global default.
@@ -13,9 +14,10 @@ use ashn_gates::two::{cnot, cz, iswap, swap};
 use ashn_ir::{Basis, BasisMetadata, Circuit, SynthError};
 use ashn_math::randmat::haar_unitary;
 use ashn_math::CMat;
-use ashn_service::{CompileService, ShardedCache};
+use ashn_service::{CompileService, ServiceStats, ShardedCache};
 use ashn_synth::basis::CzBasis;
-use ashn_synth::cache::CacheStats;
+use ashn_synth::cache::{CacheStats, CachedBasis};
+use ashn_synth::retarget::standard_rules;
 use ashn_telemetry::{install, Registry};
 use common::{dressed, ExactBasis};
 use rand::rngs::StdRng;
@@ -69,16 +71,20 @@ fn mixed_pool(seed: u64) -> Vec<CMat> {
     pool
 }
 
-/// Satellite: stats-drift regression. ServiceStats, CacheStats, and the
-/// registry are updated on one path, so under mixed rule/cache/degraded
-/// traffic the tier sums must reconcile exactly:
-/// `hits + rule_hits + misses == lookups` on both the struct and the
-/// registry, and the two must agree counter for counter.
+/// Each event has one name. A service serve is counted in `ServiceStats`
+/// alone and published once per batch under `service.*`, so under mixed
+/// rule/cache/degraded/retried traffic the registry equals the summed
+/// stats name for name, and the store's lookup counters — which count
+/// `CachedBasis` lookups only — stay at zero. A `CachedBasis` over the same
+/// store then moves `cache.lookup.*` in step with `CacheStats`.
 #[test]
 fn mixed_traffic_accounting_never_drifts() {
     let reg = Registry::with_journal_capacity(0);
     let _guard = install(&reg);
-    let service = CompileService::with_cache(FlakyCz, ShardedCache::new()).workers(2);
+    let cache = ShardedCache::new();
+    let service = CompileService::with_cache(FlakyCz, cache.clone())
+        .workers(2)
+        .max_attempts(2);
 
     // Two batches: the second re-serves batch-one classes warm, so exact
     // hits, class hits, rule hits, cold serves, and degraded serves all
@@ -91,48 +97,79 @@ fn mixed_traffic_accounting_never_drifts() {
         }
         totals.push(batch.stats);
     }
-    let rule_hits: u64 = totals.iter().map(|s| s.rule_hits).sum();
-    let degraded: u64 = totals.iter().map(|s| s.degraded).sum();
-    assert!(rule_hits > 0, "pool must exercise the rule tier");
-    assert!(degraded > 0, "pool must exercise the degraded tier");
+    let sum = |f: fn(&ServiceStats) -> u64| totals.iter().map(f).sum::<u64>();
+    assert!(sum(|s| s.rule_hits) > 0, "pool must exercise the rule tier");
     assert!(
-        totals.iter().any(|s| s.exact_hits > 0) && totals.iter().any(|s| s.class_hits > 0),
+        sum(|s| s.degraded) > 0,
+        "pool must exercise the degraded tier"
+    );
+    assert!(
+        sum(|s| s.retries) > 0,
+        "failed classes must count their retries"
+    );
+    assert!(
+        sum(|s| s.exact_hits) > 0 && sum(|s| s.class_hits) > 0,
         "pool must exercise warm serves"
     );
-
-    // Struct-level identity (the legacy invariant).
-    let cache = service.cache().stats();
+    // Every target lands in exactly one serve tier.
     assert_eq!(
-        cache.hits() + cache.misses,
-        cache.lookups(),
-        "hits + rule_hits + misses must equal lookups"
+        sum(|s| s.exact_hits + s.class_hits + s.rule_hits + s.cold_serves + s.degraded + s.failed),
+        sum(|s| s.targets as u64)
     );
 
-    // Registry-level identity, and struct == registry: one accounting path.
     let snap = reg.snapshot();
     let c = |name: &str| snap.counter(name).unwrap_or(0);
-    assert_eq!(
-        c("cache.lookup.exact")
-            + c("cache.lookup.class")
-            + c("cache.lookup.rule")
-            + c("cache.lookup.miss"),
-        c("cache.lookups"),
-        "registry lookup tiers must sum to the lookup total"
-    );
-    assert_eq!(c("cache.lookups"), cache.lookups());
-    assert_eq!(c("cache.lookup.exact"), cache.exact_hits);
-    assert_eq!(c("cache.lookup.class"), cache.class_hits);
-    assert_eq!(c("cache.lookup.rule"), cache.rule_hits);
-    assert_eq!(c("cache.lookup.miss"), cache.misses);
+    for (name, value) in [
+        ("service.batches", totals.len() as u64),
+        ("service.requests", sum(|s| s.requests as u64)),
+        ("service.targets", sum(|s| s.targets as u64)),
+        ("service.serve.exact", sum(|s| s.exact_hits)),
+        ("service.serve.redressed", sum(|s| s.class_hits)),
+        ("service.serve.rule", sum(|s| s.rule_hits)),
+        ("service.serve.cold", sum(|s| s.cold_serves)),
+        ("service.serve.degraded", sum(|s| s.degraded)),
+        ("service.serve.failed", sum(|s| s.failed)),
+        ("service.retries", sum(|s| s.retries)),
+        ("service.quarantined", sum(|s| s.quarantined)),
+        ("service.worker_panics", sum(|s| s.worker_panics)),
+    ] {
+        assert_eq!(c(name), value, "registry value for {name}");
+    }
+    for name in [
+        "cache.lookup.exact",
+        "cache.lookup.class",
+        "cache.lookup.rule",
+        "cache.lookup.miss",
+    ] {
+        assert_eq!(c(name), 0, "a service serve was counted as {name}");
+    }
+    assert_eq!(cache.stats().lookups(), 0, "the service recorded a lookup");
+    for retired in ["cache.lookups", "synth.resilience.retries"] {
+        assert_eq!(snap.counter(retired), None, "{retired} is still published");
+    }
 
-    // Serve-tier mirrors reconcile with the summed per-batch stats.
-    let sum = |f: fn(&ashn_service::ServiceStats) -> u64| totals.iter().map(f).sum::<u64>();
-    assert_eq!(c("service.serve.exact"), sum(|s| s.exact_hits));
-    assert_eq!(c("service.serve.redressed"), sum(|s| s.class_hits));
-    assert_eq!(c("service.serve.rule"), sum(|s| s.rule_hits));
-    assert_eq!(c("service.serve.cold"), sum(|s| s.cold_serves));
-    assert_eq!(c("service.serve.degraded"), sum(|s| s.degraded));
-    assert_eq!(c("service.serve.failed"), sum(|s| s.failed));
+    // The facade's store path on the same cache and registry.
+    let cached = CachedBasis::with_store(FlakyCz, cache.clone()).with_rules(standard_rules());
+    for target in &mixed_pool(0xd421) {
+        let _ = cached.synthesize(target);
+    }
+    let store = cache.stats();
+    assert!(store.misses > 0 && store.hits() > 0);
+    let view = CacheStats::from_telemetry(&reg.snapshot());
+    assert_eq!(
+        (
+            view.exact_hits,
+            view.class_hits,
+            view.rule_hits,
+            view.misses
+        ),
+        (
+            store.exact_hits,
+            store.class_hits,
+            store.rule_hits,
+            store.misses
+        )
+    );
 }
 
 /// Satellite: the journal is a replayable flight recorder. Zero-fault
@@ -165,34 +202,37 @@ fn zero_fault_journal_is_identical_across_worker_counts() {
     assert_eq!(journals[0], journals[2], "1 worker vs 16 workers diverged");
 }
 
-/// Acceptance: the exporters and the legacy stats structs are views over
-/// the same registry — JSON and Prometheus renderings carry exactly the
-/// values the structs report, and `CacheStats::from_telemetry` round-trips
-/// the lookup traffic.
+/// Acceptance: the exporters carry exactly the values the stats structs
+/// report — `ServiceStats` under `service.*`, the `CacheStats` of
+/// `CachedBasis` lookups under `cache.lookup.*` (read back by
+/// `CacheStats::from_telemetry`) — in JSON and Prometheus alike.
 #[test]
 fn exporters_round_trip_the_legacy_stats() {
     let reg = Registry::with_journal_capacity(64);
     let _guard = install(&reg);
-    let service = CompileService::with_cache(CzBasis, ShardedCache::new());
-    let batch = service.synthesize_batch(&mixed_pool(0xe4b0));
-    let stats = batch.stats;
-    let cache = service.cache().stats();
+    let cache = ShardedCache::new();
+    let service = CompileService::with_cache(CzBasis, cache.clone());
+    let stats = service.synthesize_batch(&mixed_pool(0xe4b0)).stats;
+    let cached = CachedBasis::with_store(CzBasis, cache.clone()).with_rules(standard_rules());
+    for target in &mixed_pool(0xe4b1) {
+        cached.synthesize(target).expect("CZ serves every target");
+    }
+    let lookups = cache.stats();
     let snap = reg.snapshot();
 
     // The registry view of lookup traffic IS the cache's own accounting.
     let view = CacheStats::from_telemetry(&snap);
-    assert_eq!(view.exact_hits, cache.exact_hits);
-    assert_eq!(view.class_hits, cache.class_hits);
-    assert_eq!(view.rule_hits, cache.rule_hits);
-    assert_eq!(view.misses, cache.misses);
-    assert_eq!(view.lookups(), cache.lookups());
+    assert_eq!(view.exact_hits, lookups.exact_hits);
+    assert_eq!(view.class_hits, lookups.class_hits);
+    assert_eq!(view.rule_hits, lookups.rule_hits);
+    assert_eq!(view.misses, lookups.misses);
 
     // Both exporters carry the identical values, verbatim.
     let json = snap.render_json();
     let prom = snap.render_prometheus();
     for (name, value) in [
-        ("cache.lookups", cache.lookups()),
-        ("cache.lookup.rule", cache.rule_hits),
+        ("cache.lookup.rule", lookups.rule_hits),
+        ("cache.lookup.miss", lookups.misses),
         ("service.serve.rule", stats.rule_hits),
         ("service.serve.cold", stats.cold_serves),
         ("service.requests", stats.requests as u64),
@@ -221,6 +261,6 @@ fn exporters_round_trip_the_legacy_stats() {
 
     // And the human-readable report surfaces the same snapshot.
     let report = snap.render_text();
-    assert!(report.contains("cache.lookups"));
+    assert!(report.contains("cache.lookup.rule"));
     assert!(report.contains("service.batch"));
 }

@@ -159,7 +159,7 @@ mod tests {
         c.push(Instruction::new(vec![0], h_gate(), "H").with_duration(0.1));
         c.push(Instruction::new(vec![1], h_gate(), "H").with_duration(0.2));
         assert!((c.total_duration() - 0.3).abs() < 1e-12);
-        assert_eq!(c.two_qubit_gate_count(), 0);
+        assert_eq!(c.entangler_count(), 0);
     }
 
     #[test]

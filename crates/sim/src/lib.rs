@@ -45,7 +45,6 @@ pub mod circuit;
 pub mod density;
 pub mod engine;
 pub mod error;
-pub mod measure;
 pub mod plan;
 pub mod state;
 pub mod trajectory;

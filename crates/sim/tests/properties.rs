@@ -64,7 +64,7 @@ proptest! {
         let noise = NoiseModel { one_qubit: 0.001, two_qubit: p2 };
         let rho = c.run_noisy(&noise);
         prop_assert!((rho.trace() - 1.0).abs() < 1e-8);
-        if c.two_qubit_gate_count() > 0 {
+        if c.entangler_count() > 0 {
             prop_assert!(rho.purity() < 1.0 + 1e-12);
         }
     }

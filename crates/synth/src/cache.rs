@@ -129,7 +129,8 @@ pub trait ClassStore {
     /// Inserts (or replaces) a class.
     fn store(&self, key: ClassKey, entry: ClassEntry);
 
-    /// Attributes one lookup to exact-hit/class-hit/miss.
+    /// Attributes one [`CachedBasis`] lookup to a hit tier or a miss (a
+    /// `CompileService` serve is counted in its `ServiceStats` instead).
     fn record(&self, outcome: Lookup);
 
     /// Removes a class that failed post-serve verification (quarantine),
@@ -273,11 +274,11 @@ impl CacheStats {
         }
     }
 
-    /// The lookup counters as a view over a telemetry snapshot — the same
-    /// values [`SynthCache::stats`] reports, because [`ClassStore::record`]
-    /// is the one path updating both. Occupancy (`len`/`capacity`/
-    /// `evictions`) is storage state, not lookup traffic, and stays zero
-    /// here.
+    /// The lookup counters as a view over a snapshot's `cache.lookup.*`
+    /// counters — the [`CachedBasis`] lookups [`SynthCache::stats`] counts,
+    /// since [`ClassStore::record`] updates both (a `CompileService` serve
+    /// is counted under `service.serve.*`). Occupancy (`len`/`capacity`/
+    /// `evictions`) is storage state, not lookup traffic, and stays zero.
     pub fn from_telemetry(snap: &ashn_telemetry::TelemetrySnapshot) -> CacheStats {
         CacheStats {
             exact_hits: snap.counter("cache.lookup.exact").unwrap_or(0),
@@ -398,7 +399,6 @@ impl ClassStore for SynthCache {
         // drift apart. `ShardedCache` funnels its `record` through one
         // shard, which lands in this same body.
         let telemetry = ashn_telemetry::current();
-        telemetry.add("cache.lookups", 1);
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match outcome {
             Lookup::ExactHit => {

@@ -165,7 +165,7 @@ mod tests {
         let u = haar_unitary(8, &mut rng);
         let c = qsd(&u, SynthBasis::Cnot);
         assert!(c.error(&u) < 1e-6, "error {}", c.error(&u));
-        assert_eq!(c.two_qubit_count(), qsd_count(3, SynthBasis::Cnot));
+        assert_eq!(c.entangler_count(), qsd_count(3, SynthBasis::Cnot));
     }
 
     #[test]
@@ -174,7 +174,7 @@ mod tests {
         let u = haar_unitary(16, &mut rng);
         let c = qsd(&u, SynthBasis::Cnot);
         assert!(c.error(&u) < 1e-5, "error {}", c.error(&u));
-        assert_eq!(c.two_qubit_count(), qsd_count(4, SynthBasis::Cnot));
+        assert_eq!(c.entangler_count(), qsd_count(4, SynthBasis::Cnot));
     }
 
     #[test]
@@ -194,7 +194,7 @@ mod tests {
         let u = haar_unitary(16, &mut rng);
         let c = qsd(&u, SynthBasis::Generic);
         assert!(c.error(&u) < 1e-5, "error {}", c.error(&u));
-        assert_eq!(c.two_qubit_count(), qsd_count(4, SynthBasis::Generic));
+        assert_eq!(c.entangler_count(), qsd_count(4, SynthBasis::Generic));
     }
 
     #[test]

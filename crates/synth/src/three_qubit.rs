@@ -302,7 +302,7 @@ pub fn try_decompose_three_qubit(u: &CMat) -> Result<Circuit, SynthError> {
         out.push(g);
     }
 
-    debug_assert_eq!(out.two_qubit_count(), 11);
+    debug_assert_eq!(out.entangler_count(), 11);
     let err = out.error(u);
     if err >= 5e-6 {
         return Err(SynthError::Convergence {
@@ -403,7 +403,7 @@ mod tests {
         for _ in 0..5 {
             let u = haar_unitary(8, &mut rng);
             let c = decompose_three_qubit(&u);
-            assert_eq!(c.two_qubit_count(), 11);
+            assert_eq!(c.entangler_count(), 11);
             assert!(c.error(&u) < 5e-6, "error {}", c.error(&u));
             // No gate acts on more than 2 qubits.
             assert!(c.instructions.iter().all(|g| g.qubits.len() <= 2));
@@ -419,7 +419,7 @@ mod tests {
         toffoli[(6, 7)] = Complex::ONE;
         toffoli[(7, 6)] = Complex::ONE;
         let c = decompose_three_qubit(&toffoli);
-        assert_eq!(c.two_qubit_count(), 11);
+        assert_eq!(c.entangler_count(), 11);
         assert!(c.error(&toffoli) < 5e-6, "error {}", c.error(&toffoli));
 
         let mut rng = StdRng::seed_from_u64(106);

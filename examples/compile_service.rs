@@ -122,7 +122,7 @@ fn main() {
         .expect("compile");
     let stats = compiler.synth_stats();
     println!(
-        "facade     : Compiler shares the cache — {} entries, {} hits / {} misses process-wide",
+        "facade     : Compiler shares the cache — {} entries, {} hits / {} misses by the compiler",
         service.cache().len(),
         stats.exact_hits + stats.class_hits,
         stats.misses

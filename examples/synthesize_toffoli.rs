@@ -27,7 +27,7 @@ fn main() {
     let generic = decompose_three_qubit(&u);
     println!(
         "Theorem 12: Toffoli = {} two-qubit gates (reconstruction error {:.1e}):",
-        generic.two_qubit_count(),
+        generic.entangler_count(),
         generic.error(&u)
     );
     let scheme = AshnScheme::new(0.0);
@@ -50,11 +50,11 @@ fn main() {
     println!("  total two-qubit interaction time: {total_time:.3}/g");
 
     let cnot = qsd(&u, SynthBasis::Cnot);
-    let cz_time = cnot.two_qubit_count() as f64 * std::f64::consts::PI / std::f64::consts::SQRT_2;
+    let cz_time = cnot.entangler_count() as f64 * std::f64::consts::PI / std::f64::consts::SQRT_2;
     println!(
         "\nPlain Shannon decomposition: {} CNOTs (error {:.1e}); on flux-tuned\n\
          CZ hardware that is {:.2}/g of interaction time — {:.1}x more than AshN.",
-        cnot.two_qubit_count(),
+        cnot.entangler_count(),
         cnot.error(&u),
         cz_time,
         cz_time / total_time

@@ -32,7 +32,7 @@ use ashn_route::Grid;
 use ashn_service::ShardedCache;
 use ashn_sim::plan::{ExecPlan, PlanError};
 use ashn_sim::trajectory::trajectory_probabilities_batched_plan;
-use ashn_sim::{DensityMatrix, NoiseModel, SimEngine, Simulate, StateVector};
+use ashn_sim::{DensityMatrix, Simulate, StateVector};
 use ashn_synth::basis::AshnBasis;
 use ashn_synth::cache::CachedBasis;
 use ashn_synth::retarget::standard_rules;
@@ -132,8 +132,9 @@ impl Compiler {
     }
 
     /// Current synthesis-cache counters (exact hits / class hits / misses /
-    /// occupancy). With a shared cache these aggregate over every compiler
-    /// and service feeding it, not just this one.
+    /// occupancy). With a shared cache the lookups aggregate over every
+    /// compiler feeding it, not just this one; a `CompileService` on the
+    /// same cache counts its serves in its own `ServiceStats` instead.
     pub fn synth_stats(&self) -> SynthStats {
         self.cache.stats()
     }
@@ -296,21 +297,6 @@ impl Compiled {
         self.model.circuit.run_pure()
     }
 
-    /// Fallible [`Compiled::simulate_pure`], surfacing register-size
-    /// failures as [`AshnError::Sim`] instead of panicking. Runs
-    /// plan-backed on a [`SimEngine`] — fused and, on large registers,
-    /// amplitude-parallel — so it is also the fast path for big circuits.
-    ///
-    /// # Errors
-    ///
-    /// [`AshnError::Sim`] when the compiled register exceeds
-    /// [`ashn_sim::MAX_QUBITS`] (memory-bound).
-    pub fn try_simulate_pure(&self) -> Result<StateVector, AshnError> {
-        let mut engine = SimEngine::try_new(self.model.circuit.n_qubits())?;
-        engine.run_pure(&self.model.circuit);
-        Ok(engine.take_state())
-    }
-
     /// Exact density-matrix simulation under the scheduled noise, resolved
     /// per instruction without materializing an annotated circuit copy.
     ///
@@ -331,9 +317,9 @@ impl Compiled {
     ///
     /// # Errors
     ///
-    /// [`PlanError`] when the circuit cannot be expressed as a plan
-    /// (compiled circuits only contain 1q/2q gates, so this is reachable
-    /// only through hand-built models).
+    /// [`PlanError::RegisterOutOfRange`] when the compiled register exceeds
+    /// [`ashn_sim::MAX_QUBITS`] (compiled circuits hold only in-range 1q/2q
+    /// gates, so nothing else fails).
     pub fn exec_plan(&self) -> Result<ExecPlan, PlanError> {
         let noise = self.noise;
         ExecPlan::build_with(&self.model.circuit, |g| {
@@ -346,22 +332,22 @@ impl Compiled {
     /// `workers` threads (`0` = machine default) — plan-backed, and
     /// bit-identical for any worker count at a fixed `master_seed`.
     /// Marginalize with [`Compiled::logical_probs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the compiled register has more than
+    /// [`ashn_sim::MAX_QUBITS`]` = 26` sites: no plan (and no statevector)
+    /// holds it.
     pub fn simulate_trajectories(
         &self,
         n_traj: usize,
         master_seed: u64,
         workers: usize,
     ) -> Vec<f64> {
-        match self.exec_plan() {
-            Ok(plan) => trajectory_probabilities_batched_plan(&plan, n_traj, master_seed, workers),
-            Err(_) => ashn_sim::trajectory::trajectory_probabilities_batched(
-                &self.scheduled(),
-                &NoiseModel::NOISELESS,
-                n_traj,
-                master_seed,
-                workers,
-            ),
-        }
+        let plan = self
+            .exec_plan()
+            .unwrap_or_else(|e| panic!("compiled circuit does not plan: {e}"));
+        trajectory_probabilities_batched_plan(&plan, n_traj, master_seed, workers)
     }
 
     /// Heavy-output score of the compiled circuit under the configured

@@ -9,7 +9,6 @@
 use ashn_core::scheme::CompileError;
 use ashn_ir::{IrError, SynthError};
 use ashn_opt::OptError;
-use ashn_sim::SimError;
 use std::error::Error;
 use std::fmt;
 
@@ -22,9 +21,6 @@ pub enum AshnError {
     Ir(IrError),
     /// The AshN pulse compiler rejected a target class.
     Pulse(CompileError),
-    /// Simulation was asked for an unrepresentable state (register over
-    /// the memory-bound cap, bad amplitude buffer, non-unit norm).
-    Sim(SimError),
     /// The [`crate::Compiler`] was misconfigured.
     Config {
         /// What is wrong with the configuration.
@@ -38,7 +34,6 @@ impl fmt::Display for AshnError {
             AshnError::Synth(e) => write!(f, "synthesis error: {e}"),
             AshnError::Ir(e) => write!(f, "ir error: {e}"),
             AshnError::Pulse(e) => write!(f, "pulse compilation error: {e}"),
-            AshnError::Sim(e) => write!(f, "simulation error: {e}"),
             AshnError::Config { detail } => write!(f, "compiler configuration error: {detail}"),
         }
     }
@@ -50,7 +45,6 @@ impl Error for AshnError {
             AshnError::Synth(e) => Some(e),
             AshnError::Ir(e) => Some(e),
             AshnError::Pulse(e) => Some(e),
-            AshnError::Sim(e) => Some(e),
             AshnError::Config { .. } => None,
         }
     }
@@ -71,12 +65,6 @@ impl From<IrError> for AshnError {
 impl From<CompileError> for AshnError {
     fn from(e: CompileError) -> Self {
         AshnError::Pulse(e)
-    }
-}
-
-impl From<SimError> for AshnError {
-    fn from(e: SimError) -> Self {
-        AshnError::Sim(e)
     }
 }
 

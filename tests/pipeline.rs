@@ -56,7 +56,7 @@ fn theorem12_gates_all_compile_to_single_pulses() {
     let u = haar_unitary(8, &mut rng);
     let circuit = ashn::synth::three_qubit::decompose_three_qubit(&u);
     let ashn_basis = AshnBasis::ideal();
-    assert_eq!(circuit.two_qubit_count(), 11);
+    assert_eq!(circuit.entangler_count(), 11);
     let mut total_time = 0.0;
     for g in &circuit.instructions {
         let compiled = ashn_basis.synthesize(&g.matrix).expect("compiles");

@@ -81,3 +81,53 @@ fn service_and_compiler_share_synthesis_results() {
         "every class was already warmed by the compiler"
     );
 }
+
+#[test]
+fn service_serves_and_facade_lookups_are_counted_once() {
+    let reg = ashn::telemetry::Registry::with_journal_capacity(0);
+    let _guard = ashn::telemetry::install(&reg);
+    let cache = ShardedCache::new();
+    let mut rng = StdRng::seed_from_u64(31);
+    let model = sample_model_circuit(3, &mut rng);
+    let targets: Vec<_> = model
+        .layers
+        .iter()
+        .flat_map(|layer| layer.iter().map(|(_, gate)| gate.clone()))
+        .collect();
+
+    // Service serves are counted in `ServiceStats` and `service.serve.*`
+    // only: the shared store's lookup counters do not move.
+    let service = CompileService::with_cache(ashn::synth::basis::CzBasis, cache.clone());
+    let stats = service.synthesize_batch(&targets).stats;
+    let snap = reg.snapshot();
+    let served: u64 = ["exact", "redressed", "rule", "cold", "degraded", "failed"]
+        .iter()
+        .map(|tier| snap.counter(&format!("service.serve.{tier}")).unwrap_or(0))
+        .sum();
+    assert_eq!(served, stats.targets as u64);
+    assert_eq!(cache.stats().lookups(), 0);
+
+    // A facade compile on the same cache and registry: `cache.lookup.*`
+    // is exactly what `Compiler::synth_stats` reports.
+    let compiler = Compiler::new()
+        .gate_set(GateSet::Cz)
+        .with_shared_cache(&cache);
+    compiler.compile(&model).expect("compile");
+    let synth = compiler.synth_stats();
+    assert!(synth.lookups() > 0);
+    let view = ashn::synth::cache::CacheStats::from_telemetry(&reg.snapshot());
+    assert_eq!(
+        (
+            view.exact_hits,
+            view.class_hits,
+            view.rule_hits,
+            view.misses
+        ),
+        (
+            synth.exact_hits,
+            synth.class_hits,
+            synth.rule_hits,
+            synth.misses
+        )
+    );
+}
